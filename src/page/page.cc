@@ -275,9 +275,13 @@ void Page::UpdateCrc() {
 
 bool Page::VerifyCrc() const {
   uint32_t stored = crc32c::Unmask(DecodeFixed32(data_.data() + kOffCrc));
-  std::string copy = data_;
-  EncodeFixed32(copy.data() + kOffCrc, 0);
-  return crc32c::Value(copy.data(), copy.size()) == stored;
+  // CRC of the image with the CRC field zeroed, without copying the page.
+  static constexpr char kZeroCrc[4] = {};
+  uint32_t crc = crc32c::Value(data_.data(), kOffCrc);
+  crc = crc32c::Extend(crc, kZeroCrc, sizeof(kZeroCrc));
+  crc = crc32c::Extend(crc, data_.data() + kOffCrc + sizeof(kZeroCrc),
+                       data_.size() - kOffCrc - sizeof(kZeroCrc));
+  return crc == stored;
 }
 
 void Page::CorruptForTesting(size_t offset) {

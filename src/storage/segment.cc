@@ -8,59 +8,94 @@
 
 namespace aurora {
 
-bool Segment::AddRecord(const LogRecord& record) {
-  if (record.lsn == kInvalidLsn) return false;
-  // Records at or below the applied floor are already reflected in base
-  // pages (and possibly garbage collected); re-adding them (late gossip)
-  // would leave unreclaimable junk.
-  if (record.lsn <= applied_lsn_) return false;
-  auto [it, inserted] = hot_log_.emplace(record.lsn, record);
-  if (!inserted) return false;
-  chain_[record.prev_pg_lsn] = record.lsn;
-  records_by_page_[record.page_id].insert(record.lsn);
-  if (record.lsn > max_lsn_) max_lsn_ = record.lsn;
+bool Segment::AddRecord(LogRecord record) {
+  const Lsn lsn = record.lsn;
+  const PageId page = record.page_id;
+  // Records at or below the applied floor (kInvalidLsn included) are already
+  // reflected in base pages (and possibly garbage collected); re-adding them
+  // (late gossip) would leave unreclaimable junk.
+  if (lsn <= applied_lsn_) return false;
+  // In-order arrivals append; gossip filling a hole lands mid-log.
+  auto pos = After(lsn);
+  if (pos != hot_log_.begin() && std::prev(pos)->lsn == lsn) return false;
+  hot_log_.insert(pos, std::move(record));
+  std::vector<Lsn>& lsns = page_lsns_[page];
+  lsns.insert(std::ranges::upper_bound(lsns, lsn), lsn);
+  if (lsn > max_lsn_) max_lsn_ = lsn;
   // A record above the cached entry's build point is picked up by partial
   // replay; one at or below it (late gossip filling a gap) means the cached
   // image was built without it — drop the entry.
   if (!page_cache_.empty()) {
-    auto cit = page_cache_.find(record.page_id);
-    if (cit != page_cache_.end() && record.lsn <= cit->second.built_lsn) {
-      cache_lru_.erase(cit->second.stamp);
-      page_cache_.erase(cit);
+    auto cit = page_cache_.find(page);
+    if (cit != page_cache_.end() && lsn <= cit->second.built_lsn) {
+      CacheErase(page);
     }
   }
   AdvanceScl();
   return true;
 }
 
-void Segment::AdvanceScl() {
-  auto it = chain_.find(scl_);
-  while (it != chain_.end()) {
-    scl_ = it->second;
-    it = chain_.find(scl_);
+std::deque<LogRecord>::const_iterator Segment::After(Lsn lsn) const {
+  // Most lookups (an arriving record, the SCL) land among the newest
+  // records: step back from the tail in doubling strides, then bisect the
+  // last stride. Every record in [hi, end) is above `lsn`.
+  auto hi = hot_log_.cend();
+  for (ptrdiff_t stride = 1; hi != hot_log_.cbegin(); stride *= 2) {
+    auto lo = hi - std::min(stride, hi - hot_log_.cbegin());
+    if (lo->lsn <= lsn) {
+      return std::ranges::upper_bound(lo, hi, lsn, {}, &LogRecord::lsn);
+    }
+    hi = lo;
   }
+  return hi;
 }
 
 const LogRecord* Segment::RecordAt(Lsn lsn) const {
-  auto it = hot_log_.find(lsn);
-  return it == hot_log_.end() ? nullptr : &it->second;
+  auto it = After(lsn);
+  return it != hot_log_.begin() && (--it)->lsn == lsn ? &*it : nullptr;
 }
 
-std::vector<const LogRecord*> Segment::RecordsAbove(Lsn from,
-                                                    size_t max) const {
+std::vector<const LogRecord*> Segment::Views(Lsn after, Lsn through,
+                                             size_t max) const {
   std::vector<const LogRecord*> out;
-  for (auto it = hot_log_.upper_bound(from);
-       it != hot_log_.end() && out.size() < max; ++it) {
-    out.push_back(&it->second);
+  for (auto it = After(after);
+       it != hot_log_.end() && it->lsn <= through && out.size() < max; ++it) {
+    out.push_back(&*it);
   }
   return out;
+}
+
+std::span<const Lsn> Segment::PageLsns(PageId page, Lsn from, Lsn to) const {
+  auto it = page_lsns_.find(page);
+  if (it == page_lsns_.end()) return {};
+  return {std::ranges::upper_bound(it->second, from),
+          std::ranges::upper_bound(it->second, to)};
+}
+
+void Segment::Unindex(PageId page, Lsn from, Lsn to) {
+  auto it = page_lsns_.find(page);
+  if (it == page_lsns_.end()) return;
+  std::vector<Lsn>& lsns = it->second;
+  lsns.erase(std::ranges::upper_bound(lsns, from),
+             std::ranges::upper_bound(lsns, to));
+  if (lsns.empty()) page_lsns_.erase(it);
+}
+
+Status Segment::Replay(std::span<const Lsn> lsns, Page* image) const {
+  for (Lsn lsn : lsns) {
+    const LogRecord* rec = RecordAt(lsn);
+    AURORA_CHECK(rec != nullptr, "page index names a record not in the log");
+    Status s = LogApplicator::Apply(*rec, image);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
 }
 
 std::vector<InventoryEntry> Segment::Inventory() const {
   std::vector<InventoryEntry> out;
   out.reserve(hot_log_.size());
-  for (const auto& [lsn, rec] : hot_log_) {
-    out.push_back({lsn, rec.prev_pg_lsn, rec.prev_vol_lsn, rec.flags});
+  for (const LogRecord& rec : hot_log_) {
+    out.push_back({rec.lsn, rec.prev_pg_lsn, rec.prev_vol_lsn, rec.flags});
   }
   return out;
 }
@@ -83,10 +118,12 @@ Page* Segment::BasePage(PageId page) {
 
 size_t Segment::CoalesceStep(size_t max_records) {
   const Lsn limit = MaterializationLimit();
+  std::set<PageId> touched;
   size_t applied = 0;
-  auto it = hot_log_.upper_bound(applied_lsn_);
-  while (it != hot_log_.end() && it->first <= limit && applied < max_records) {
-    const LogRecord& rec = it->second;
+  for (auto it = After(applied_lsn_);
+       it != hot_log_.end() && it->lsn <= limit && applied < max_records;
+       ++it, ++applied) {
+    const LogRecord& rec = *it;
     Page* page = BasePage(rec.page_id);
     if (!page->IsFormatted() && rec.op != RedoOp::kFormatPage) {
       // The page's base image was dropped for repair after its format
@@ -100,11 +137,12 @@ size_t Segment::CoalesceStep(size_t max_records) {
     }
     Status s = LogApplicator::Apply(rec, page);
     AURORA_CHECK(s.ok(), "coalesce apply failed (non-deterministic redo?)");
-    page->UpdateCrc();
-    applied_lsn_ = it->first;
-    ++applied;
-    ++it;
+    touched.insert(rec.page_id);
+    applied_lsn_ = rec.lsn;
   }
+  // Checksum each touched page once, after its last apply of the step (also
+  // when the loop stopped early at a page awaiting repair).
+  for (PageId id : touched) base_pages_.at(id).UpdateCrc();
   return applied;
 }
 
@@ -127,14 +165,8 @@ Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point) const {
     if (cit != page_cache_.end()) {
       CacheEntry& entry = cit->second;
       if (read_point >= entry.built_lsn) {
-        // Any records for this page in (built_lsn, read_point]?
-        auto recs_it = records_by_page_.find(page);
-        auto next = recs_it == records_by_page_.end()
-                        ? std::set<Lsn>::const_iterator()
-                        : recs_it->second.upper_bound(entry.built_lsn);
-        bool newer = recs_it != records_by_page_.end() &&
-                     next != recs_it->second.end() && *next <= read_point;
-        if (!newer) {
+        auto newer = PageLsns(page, entry.built_lsn, read_point);
+        if (newer.empty()) {
           ++cache_stats_.hits;
           CacheTouch(&entry);
           return entry.image;
@@ -144,13 +176,8 @@ Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point) const {
         // results to a full rebuild (the cached image already reflects
         // everything <= built_lsn).
         Page result = entry.image;
-        for (auto it = next; it != recs_it->second.end() && *it <= read_point;
-             ++it) {
-          const LogRecord* rec = RecordAt(*it);
-          if (rec == nullptr) continue;  // already in the base image
-          Status s = LogApplicator::Apply(*rec, &result);
-          if (!s.ok()) return s;
-        }
+        Status s = Replay(newer, &result);
+        if (!s.ok()) return s;
         result.UpdateCrc();
         ++cache_stats_.partial_hits;
         CacheInsert(page, result, read_point);
@@ -174,16 +201,8 @@ Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point) const {
   } else if (synthesizer_) {
     synthesizer_(page, &result);
   }
-  auto recs_it = records_by_page_.find(page);
-  if (recs_it != records_by_page_.end()) {
-    for (Lsn lsn : recs_it->second) {
-      if (lsn > read_point) break;
-      const LogRecord* rec = RecordAt(lsn);
-      if (rec == nullptr) continue;  // already in the base image
-      Status s = LogApplicator::Apply(*rec, &result);
-      if (!s.ok()) return s;
-    }
-  }
+  Status s = Replay(PageLsns(page, kInvalidLsn, read_point), &result);
+  if (!s.ok()) return s;
   if (!result.IsFormatted()) {
     return Status::NotFound("page never written");
   }
@@ -255,15 +274,11 @@ void Segment::CacheClear() {
 size_t Segment::GarbageCollect() {
   const Lsn floor = std::min(applied_lsn_, pgmrpl_);
   size_t collected = 0;
-  auto it = hot_log_.begin();
-  while (it != hot_log_.end() && it->first <= floor) {
-    const LogRecord& rec = it->second;
-    chain_.erase(rec.prev_pg_lsn);
-    auto page_it = records_by_page_.find(rec.page_id);
-    if (page_it != records_by_page_.end()) {
-      page_it->second.erase(rec.lsn);
-      if (page_it->second.empty()) records_by_page_.erase(page_it);
-    }
+  while (!hot_log_.empty() && hot_log_.front().lsn <= floor) {
+    const LogRecord& rec = hot_log_.front();
+    // GC pops in LSN order, so the page's first visit drops all its
+    // collected LSNs at once; later visits find none.
+    Unindex(rec.page_id, kInvalidLsn, floor);
     // Collecting this record can strand a cached image of its page:
     // (a) if the image predates the record (built_lsn < lsn), a later
     //     partial replay could no longer find it in the hot log and would
@@ -285,7 +300,7 @@ size_t Segment::GarbageCollect() {
         }
       }
     }
-    it = hot_log_.erase(it);
+    hot_log_.pop_front();
     ++collected;
   }
   return collected;
@@ -298,16 +313,9 @@ Status Segment::Truncate(Lsn above, Epoch epoch) {
   epoch_ = epoch;
   AURORA_CHECK(applied_lsn_ <= above,
                "truncation below materialized pages — VDL went backwards");
-  auto it = hot_log_.upper_bound(above);
-  while (it != hot_log_.end()) {
-    const LogRecord& rec = it->second;
-    chain_.erase(rec.prev_pg_lsn);
-    auto page_it = records_by_page_.find(rec.page_id);
-    if (page_it != records_by_page_.end()) {
-      page_it->second.erase(rec.lsn);
-      if (page_it->second.empty()) records_by_page_.erase(page_it);
-    }
-    it = hot_log_.erase(it);
+  while (!hot_log_.empty() && hot_log_.back().lsn > above) {
+    Unindex(hot_log_.back().page_id, above, UINT64_MAX);
+    hot_log_.pop_back();
   }
   if (scl_ > above) scl_ = above;
   if (max_lsn_ > above) max_lsn_ = above;
@@ -317,9 +325,6 @@ Status Segment::Truncate(Lsn above, Epoch epoch) {
   if (!page_cache_.empty()) {
     CacheEraseIf([above](const CacheEntry& e) { return e.built_lsn > above; });
   }
-  // The chain may now extend again from a lower point (it shouldn't, but
-  // recompute defensively).
-  AdvanceScl();
   return Status::OK();
 }
 
@@ -366,15 +371,6 @@ bool Segment::CorruptNthBasePage(uint64_t nth) {
   return true;
 }
 
-std::vector<const LogRecord*> Segment::UnbackedRecords(size_t max) const {
-  std::vector<const LogRecord*> out;
-  for (auto it = hot_log_.upper_bound(backup_lsn_);
-       it != hot_log_.end() && it->first <= scl_ && out.size() < max; ++it) {
-    out.push_back(&it->second);
-  }
-  return out;
-}
-
 void Segment::SerializeTo(std::string* dst) const {
   PutVarint32(dst, pg_);
   PutVarint64(dst, page_size_);
@@ -386,9 +382,7 @@ void Segment::SerializeTo(std::string* dst) const {
   PutVarint64(dst, epoch_);
   PutVarint64(dst, applied_lsn_);
   PutVarint64(dst, hot_log_.size());
-  for (const auto& [lsn, rec] : hot_log_) {
-    rec.EncodeTo(dst);
-  }
+  for (const LogRecord& rec : hot_log_) rec.EncodeTo(dst);
   PutVarint64(dst, base_pages_.size());
   for (const auto& [id, page] : base_pages_) {
     PutVarint64(dst, id);
@@ -410,17 +404,18 @@ Status Segment::DeserializeFrom(Slice input) {
   pg_ = pg;
   page_size_ = page_size;
   hot_log_.clear();
-  chain_.clear();
-  records_by_page_.clear();
+  page_lsns_.clear();
   base_pages_.clear();
   CacheClear();
   for (uint64_t i = 0; i < n_records; ++i) {
     LogRecord rec;
     Status s = LogRecord::DecodeFrom(&input, &rec);
     if (!s.ok()) return s;
-    chain_[rec.prev_pg_lsn] = rec.lsn;
-    records_by_page_[rec.page_id].insert(rec.lsn);
-    hot_log_.emplace(rec.lsn, std::move(rec));
+    if (!hot_log_.empty() && rec.lsn <= hot_log_.back().lsn) {
+      return Status::Corruption("segment records out of LSN order");
+    }
+    page_lsns_[rec.page_id].push_back(rec.lsn);
+    hot_log_.push_back(std::move(rec));
   }
   if (!GetVarint64(&input, &n_pages)) {
     return Status::Corruption("bad segment state pages");
@@ -440,9 +435,8 @@ Status Segment::DeserializeFrom(Slice input) {
 }
 
 uint64_t Segment::ApproximateBytes() const {
-  uint64_t bytes = 0;
-  for (const auto& [lsn, rec] : hot_log_) bytes += rec.EncodedSize();
-  bytes += base_pages_.size() * page_size_;
+  uint64_t bytes = base_pages_.size() * page_size_;
+  for (const LogRecord& rec : hot_log_) bytes += rec.EncodedSize();
   return bytes;
 }
 

@@ -1,9 +1,11 @@
 #ifndef AURORA_STORAGE_SEGMENT_H_
 #define AURORA_STORAGE_SEGMENT_H_
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,10 +31,10 @@ struct PageCacheStats {
 /// (disk persistence, gossip cadence, scrubbing) lives in StorageNode.
 ///
 /// State:
-///  - the hot log: redo records addressed to this PG, keyed by LSN;
-///  - the backlink chain index, from which the Segment Complete LSN (SCL) is
-///    maintained: the highest LSN below which this replica has every record
-///    of the PG (§4.2.1);
+///  - the hot log: redo records addressed to this PG, in LSN order. Each
+///    record carries its backlink, from which the Segment Complete LSN (SCL)
+///    is maintained: the highest LSN below which this replica has every
+///    record of the PG (§4.2.1);
 ///  - materialized base pages: each page's image advanced by coalescing log
 ///    records (Figure 4 step 5), never beyond min(SCL, VDL hint, PGMRPL) so
 ///    that (a) truncation after a crash can never undo a materialized page
@@ -59,8 +61,9 @@ class Segment {
   // --- Hot log -------------------------------------------------------------
   /// Adds a record (from a writer batch or peer gossip); duplicates are
   /// ignored. Returns true if the record was new. Advances the SCL when the
-  /// backlink chain extends.
-  bool AddRecord(const LogRecord& record);
+  /// backlink chain extends. Callers done with a decoded record std::move
+  /// it in, so its payload is never copied.
+  bool AddRecord(LogRecord record);
 
   /// Segment Complete LSN: every record of the PG with LSN <= scl() is here.
   Lsn scl() const { return scl_; }
@@ -69,14 +72,16 @@ class Segment {
   /// True when records exist above the SCL (a gap is open).
   bool has_gap() const { return max_lsn_ > scl_; }
 
-  bool HasRecord(Lsn lsn) const { return hot_log_.count(lsn) > 0; }
+  bool HasRecord(Lsn lsn) const { return RecordAt(lsn) != nullptr; }
   size_t hot_log_size() const { return hot_log_.size(); }
 
   /// Records this replica has with LSN > `from`, up to `max` of them, in
-  /// LSN order — the gossip-push payload. Returns views into the hot log
-  /// (std::map nodes are pointer-stable); valid until the hot log is next
-  /// mutated, so consume synchronously.
-  std::vector<const LogRecord*> RecordsAbove(Lsn from, size_t max) const;
+  /// LSN order — the gossip-push payload. Returns views into the hot log,
+  /// valid until the segment is next mutated (an out-of-order insert, GC
+  /// or truncation moves or frees records), so consume synchronously.
+  std::vector<const LogRecord*> RecordsAbove(Lsn from, size_t max) const {
+    return Views(from, UINT64_MAX, max);
+  }
 
   /// The recovery inventory: (lsn, prev, flags) of every hot-log record.
   std::vector<InventoryEntry> Inventory() const;
@@ -157,8 +162,13 @@ class Segment {
   /// True while the retained hot log still holds the successor record of a
   /// replica whose contiguous prefix ends at `scl` — i.e., log shipping can
   /// still bridge that replica's gap. Once GC collects the successor, the
-  /// gap is only healable by a full state copy.
-  bool CanBridgeFrom(Lsn scl) const { return chain_.count(scl) > 0; }
+  /// gap is only healable by a full state copy. A record's PG predecessor
+  /// is the record just below it in LSN order, so the successor is the
+  /// first record above `scl` if that names `scl` as its backlink.
+  bool CanBridgeFrom(Lsn scl) const {
+    auto it = After(scl);
+    return it != hot_log_.end() && it->prev_pg_lsn == scl;
+  }
 
   /// Removes every record with LSN > `above`. Stale if `epoch` is older than
   /// the segment's current epoch; otherwise adopts the epoch. Idempotent.
@@ -184,7 +194,9 @@ class Segment {
   // --- Backup --------------------------------------------------------------
   /// Records with LSN in (backup_lsn, scl] not yet staged to S3. Views into
   /// the hot log, valid until the next mutation — consume synchronously.
-  std::vector<const LogRecord*> UnbackedRecords(size_t max) const;
+  std::vector<const LogRecord*> UnbackedRecords(size_t max) const {
+    return Views(backup_lsn_, scl_, max);
+  }
   void MarkBackedUp(Lsn through) {
     if (through > backup_lsn_) backup_lsn_ = through;
   }
@@ -200,8 +212,20 @@ class Segment {
   uint64_t ApproximateBytes() const;
 
  private:
-  void AdvanceScl();
+  void AdvanceScl() {
+    auto it = After(scl_);
+    while (it != hot_log_.end() && it->prev_pg_lsn == scl_) scl_ = (it++)->lsn;
+  }
+  /// First hot-log record with LSN > `lsn`.
+  std::deque<LogRecord>::const_iterator After(Lsn lsn) const;
   const LogRecord* RecordAt(Lsn lsn) const;
+  /// Up to `max` records with LSN in (after, through], in LSN order.
+  std::vector<const LogRecord*> Views(Lsn after, Lsn through, size_t max) const;
+  /// The page's indexed LSNs in (from, to]; Unindex erases them.
+  std::span<const Lsn> PageLsns(PageId page, Lsn from, Lsn to) const;
+  void Unindex(PageId page, Lsn from, Lsn to);
+  /// Applies the records at `lsns` to `image`, in order.
+  Status Replay(std::span<const Lsn> lsns, Page* image) const;
 
   /// A reconstructed page image valid through built_lsn: it reflects every
   /// record of the page with LSN <= built_lsn and nothing above. Mutable
@@ -233,9 +257,11 @@ class Segment {
   PgId pg_;
   size_t page_size_;
 
-  std::map<Lsn, LogRecord> hot_log_;
-  std::map<Lsn, Lsn> chain_;  // prev lsn -> lsn
-  std::map<PageId, std::set<Lsn>> records_by_page_;
+  /// Records in strictly increasing LSN order. Appends, GC at the front
+  /// and truncation at the back never move the rest of a deque.
+  std::deque<LogRecord> hot_log_;
+  /// Per page, the LSNs of its hot-log records, ascending.
+  std::map<PageId, std::vector<Lsn>> page_lsns_;
 
   /// Fetches the base page, creating it (empty or synthesized) on demand.
   Page* BasePage(PageId page);

@@ -143,6 +143,48 @@ TEST(Crc32cTest, KnownVectors) {
   EXPECT_EQ(crc32c::Value(zeros, 32), 0x8A9136AAu);
   // "123456789" -> 0xE3069283.
   EXPECT_EQ(crc32c::Value("123456789", 9), 0xE3069283u);
+  // The rest of RFC 3720 B.4: 32 bytes of 0xFF, bytes 0..31, bytes 31..0.
+  char ones[32], up[32], down[32];
+  for (int i = 0; i < 32; ++i) {
+    ones[i] = static_cast<char>(0xFF);
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  EXPECT_EQ(crc32c::Value(ones, 32), 0x62A8AB43u);
+  EXPECT_EQ(crc32c::Value(up, 32), 0x46DD794Eu);
+  EXPECT_EQ(crc32c::Value(down, 32), 0x113FDB5Cu);
+}
+
+// Extend() runs the SSE4.2 instruction when the CPU has it; it must agree
+// bit for bit with the table it replaced, at every length, start alignment
+// and split into chained Extend() calls.
+TEST(Crc32cTest, HardwareMatchesPortable) {
+  if (!crc32c::internal::HardwareAvailable()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2; Extend() is the portable table";
+  }
+  Random rng(20170514);
+  std::string buf(9000 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  // Every short length (all word/tail splits), then random ones to 9,000.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (int i = 0; i < 200; ++i) lengths.push_back(rng.UniformRange(301, 9000));
+  lengths.push_back(9000);
+  for (size_t n : lengths) {
+    for (size_t align = 0; align < 8; ++align) {
+      const char* p = buf.data() + align;
+      const uint32_t init = static_cast<uint32_t>(rng.Next());
+      const uint32_t want = crc32c::internal::ExtendPortable(init, p, n);
+      ASSERT_EQ(crc32c::Extend(init, p, n), want) << n << " @" << align;
+      // Same bytes fed as three chained pieces at random split points.
+      size_t a = rng.Uniform(n + 1);
+      size_t b = a + rng.Uniform(n - a + 1);
+      uint32_t crc = crc32c::Extend(init, p, a);
+      crc = crc32c::Extend(crc, p + a, b - a);
+      crc = crc32c::Extend(crc, p + b, n - b);
+      ASSERT_EQ(crc, want) << n << " @" << align << " split " << a << "," << b;
+    }
+  }
 }
 
 TEST(Crc32cTest, ExtendComposes) {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/random.h"
+#include "log/applicator.h"
 #include "storage/segment.h"
 #include "storage/wire.h"
 
@@ -175,6 +181,65 @@ TEST(SegmentTest, TruncateRemovesSuffixAndHonoursEpochs) {
   EXPECT_TRUE(seg.Truncate(cut, 6).ok());
 }
 
+// Truncation forgets annulled records entirely: an LSN it removed may come
+// back on another page, and the old page must not replay it.
+TEST(SegmentTest, TruncatedLsnReusedOnAnotherPage) {
+  Segment seg(0, 4096);
+  auto records = MakeChain(6);  // LSN 140 inserts into page 0
+  for (const auto& r : records) seg.AddRecord(r);
+  ASSERT_TRUE(seg.Truncate(records[3].lsn, 1).ok());
+  LogRecord reused = records[4];
+  reused.page_id = 2;
+  ASSERT_TRUE(seg.AddRecord(reused));
+  ASSERT_EQ(seg.scl(), reused.lsn);
+  Page page0(4096), page2(4096);
+  ASSERT_TRUE(LogApplicator::Apply(records[0], &page0).ok());
+  ASSERT_TRUE(LogApplicator::Apply(records[2], &page2).ok());
+  ASSERT_TRUE(LogApplicator::Apply(reused, &page2).ok());
+  for (Page* p : {&page0, &page2}) p->UpdateCrc();
+  Result<Page> got0 = seg.GetPageAsOf(0, reused.lsn);
+  Result<Page> got2 = seg.GetPageAsOf(2, reused.lsn);
+  ASSERT_TRUE(got0.ok() && got2.ok());
+  EXPECT_EQ(got0->raw(), page0.raw());
+  EXPECT_EQ(got2->raw(), page2.raw());
+}
+
+// A replica cut off during recovery misses the truncate that annulled the
+// old epoch's tail, then hears the new epoch. It holds an annulled record
+// above a hole, and the new epoch's first record names the recovery point
+// as its backlink. The SCL stays at the recovery point: claiming the range
+// above it would coalesce and serve the annulled record. Learning the
+// truncate heals the replica.
+TEST(SegmentTest, AnnulledRecordFromMissedTruncateHoldsTheScl) {
+  Segment seg(0, 4096);
+  auto records = MakeChain(5);  // LSNs 100..140; 130 never arrives
+  for (int i : {0, 1, 2, 4}) seg.AddRecord(records[i]);
+  const Lsn recovery_point = records[2].lsn;
+  ASSERT_EQ(seg.scl(), recovery_point);
+  seg.ObserveEpoch(1);  // recovery truncated above 120; this replica missed it
+  LogRecord fresh = records[3];
+  fresh.lsn = 200;
+  fresh.prev_pg_lsn = recovery_point;
+  fresh.prev_vol_lsn = recovery_point;
+  EXPECT_TRUE(seg.AddRecord(fresh));
+  EXPECT_EQ(seg.scl(), recovery_point);
+  EXPECT_FALSE(seg.CanBridgeFrom(recovery_point));
+  seg.SetVdlHint(fresh.lsn);
+  seg.SetPgmrpl(fresh.lsn);
+  seg.CoalesceStep(100);
+  EXPECT_EQ(seg.applied_lsn(), recovery_point);  // 140 is never applied
+  EXPECT_TRUE(
+      seg.GetPageAsOf(records[4].page_id, fresh.lsn).status().IsUnavailable());
+  // The truncate removes the annulled record and everything above it; the
+  // new epoch's record, sent again, then extends the chain.
+  ASSERT_TRUE(seg.Truncate(recovery_point, 1).ok());
+  EXPECT_FALSE(seg.HasRecord(records[4].lsn));
+  EXPECT_TRUE(seg.AddRecord(fresh));
+  EXPECT_EQ(seg.scl(), fresh.lsn);
+  EXPECT_TRUE(seg.CanBridgeFrom(recovery_point));
+  EXPECT_TRUE(seg.GetPageAsOf(fresh.page_id, fresh.lsn).ok());
+}
+
 TEST(SegmentTest, SerializeRoundTripPreservesEverything) {
   Segment seg(3, 4096);
   auto records = MakeChain(8);
@@ -204,6 +269,24 @@ TEST(SegmentTest, SerializeRoundTripPreservesEverything) {
   EXPECT_EQ(a->raw(), b->raw());
 }
 
+// SerializeTo writes records in strictly increasing LSN order; a blob with
+// a record out of order or repeated is corrupt.
+TEST(SegmentTest, DeserializeRejectsRecordsOutOfLsnOrder) {
+  auto records = MakeChain(2);
+  for (int repeat : {0, 1}) {
+    std::string blob;
+    PutVarint32(&blob, 0);
+    PutVarint64(&blob, 4096);
+    for (int i = 0; i < 7; ++i) PutVarint64(&blob, kInvalidLsn);  // watermarks
+    PutVarint64(&blob, 2);
+    records[1].EncodeTo(&blob);
+    records[repeat].EncodeTo(&blob);
+    PutVarint64(&blob, 0);  // no base pages
+    Segment seg(0, 4096);
+    EXPECT_TRUE(seg.DeserializeFrom(blob).IsCorruption()) << repeat;
+  }
+}
+
 TEST(SegmentTest, ScrubFindsCorruptMaterializedPage) {
   Segment seg(0, 4096);
   auto records = MakeChain(6);
@@ -228,6 +311,312 @@ TEST(SegmentTest, InventoryListsChainMetadata) {
   EXPECT_EQ(inv[0].lsn, records[0].lsn);
   EXPECT_EQ(inv[1].prev, records[0].lsn);
   EXPECT_EQ(inv[2].vprev, records[1].lsn);
+}
+
+// --- Reference-model property test ----------------------------------------
+//
+// A segment driven by random operations must agree, after every step, with
+// a model built from the plainest structures: the hot log as a std::map
+// keyed by LSN, the SCL found by scanning for backlinks, and pages rebuilt
+// by applying records one at a time.
+
+constexpr size_t kModelPageSize = 4096;
+constexpr int kModelPages = 5;
+
+// A chain over kModelPages pages in random order: each page is formatted by
+// its first record, then gets inserts and deletes of its own earlier keys.
+std::vector<LogRecord> MakeRandomChain(int n, Random* rng) {
+  std::vector<LogRecord> records;
+  std::map<PageId, std::vector<std::string>> keys;  // live keys per page
+  Lsn prev = kInvalidLsn;
+  for (int i = 0; i < n; ++i) {
+    LogRecord r;
+    r.lsn = 100 + static_cast<Lsn>(i) * 10;
+    r.prev_pg_lsn = prev;
+    r.prev_vol_lsn = prev;
+    r.page_id = rng->Uniform(kModelPages);
+    r.txn_id = 1;
+    r.flags = rng->Bernoulli(0.3) ? kFlagCpl : 0;
+    auto [it, first] = keys.try_emplace(r.page_id);
+    std::vector<std::string>& live = it->second;
+    if (first) {
+      r.op = RedoOp::kFormatPage;
+      r.payload = LogRecord::MakeFormatPayload(
+          static_cast<uint8_t>(PageType::kBTreeLeaf), 0);
+    } else if (!live.empty() && rng->Bernoulli(0.25)) {
+      size_t k = rng->Uniform(live.size());
+      r.op = RedoOp::kDelete;
+      r.payload = LogRecord::MakeKeyPayload(live[k]);
+      live.erase(live.begin() + static_cast<ptrdiff_t>(k));
+    } else {
+      live.push_back("k" + std::to_string(i));
+      r.op = RedoOp::kInsert;
+      r.payload = LogRecord::MakeKeyValuePayload(live.back(), "v");
+    }
+    prev = r.lsn;
+    records.push_back(std::move(r));
+  }
+  return records;
+}
+
+struct SegmentModel {
+  std::map<Lsn, LogRecord> log;
+  std::map<PageId, Page> base;
+  Lsn scl = kInvalidLsn, max_lsn = kInvalidLsn, applied = kInvalidLsn;
+  Lsn vdl = kInvalidLsn, pgmrpl = kInvalidLsn;
+  Epoch epoch = 0;
+
+  // The record naming `prev` as its backlink, if the log holds one.
+  const LogRecord* Successor(Lsn prev) const {
+    for (const auto& [lsn, r] : log) {
+      if (r.prev_pg_lsn == prev) return &r;
+    }
+    return nullptr;
+  }
+  void AdvanceScl() {
+    while (const LogRecord* r = Successor(scl)) scl = r->lsn;
+  }
+  bool Add(const LogRecord& r) {
+    if (r.lsn <= applied || !log.emplace(r.lsn, r).second) return false;
+    max_lsn = std::max(max_lsn, r.lsn);
+    AdvanceScl();
+    return true;
+  }
+  size_t Coalesce(size_t max) {
+    const Lsn limit = std::min({scl, vdl, pgmrpl});
+    size_t n = 0;
+    for (auto it = log.upper_bound(applied);
+         it != log.end() && it->first <= limit && n < max; ++it, ++n) {
+      const LogRecord& r = it->second;
+      auto page = base.try_emplace(r.page_id, kModelPageSize).first;
+      if (!page->second.IsFormatted() && r.op != RedoOp::kFormatPage) {
+        base.erase(page);  // held until a peer copy is restored
+        break;
+      }
+      EXPECT_TRUE(LogApplicator::Apply(r, &page->second).ok());
+      page->second.UpdateCrc();
+      applied = r.lsn;
+    }
+    return n;
+  }
+  size_t Gc() {
+    size_t n = 0;
+    const Lsn floor = std::min(applied, pgmrpl);
+    while (!log.empty() && log.begin()->first <= floor) {
+      log.erase(log.begin());
+      ++n;
+    }
+    return n;
+  }
+  Status Truncate(Lsn above, Epoch e) {
+    if (e < epoch) return Status::Stale("old epoch");
+    epoch = e;
+    log.erase(log.upper_bound(above), log.end());
+    scl = std::min(scl, above);
+    max_lsn = std::min(max_lsn, above);
+    AdvanceScl();
+    return Status::OK();
+  }
+  Result<Page> Get(PageId id, Lsn rp) const {
+    if (rp > scl) return Status::Unavailable("incomplete");
+    if (rp < applied) return Status::Stale("below floor");
+    Page page(kModelPageSize);
+    if (auto b = base.find(id); b != base.end()) page = b->second;
+    for (const auto& [lsn, r] : log) {
+      if (lsn > rp) break;
+      if (r.page_id != id) continue;
+      Status s = LogApplicator::Apply(r, &page);
+      if (!s.ok()) return s;
+    }
+    if (!page.IsFormatted()) return Status::NotFound("never written");
+    page.UpdateCrc();
+    return page;
+  }
+};
+
+std::vector<Lsn> LsnsOf(const std::vector<const LogRecord*>& views) {
+  std::vector<Lsn> out;
+  for (const LogRecord* r : views) out.push_back(r->lsn);
+  return out;
+}
+
+void ExpectMatchesModel(const SegmentModel& m, const Segment& seg,
+                        const std::vector<LogRecord>& chain, Random* rng) {
+  EXPECT_EQ(seg.scl(), m.scl);
+  EXPECT_EQ(seg.max_lsn(), m.max_lsn);
+  EXPECT_EQ(seg.has_gap(), m.max_lsn > m.scl);
+  EXPECT_EQ(seg.applied_lsn(), m.applied);
+  ASSERT_EQ(seg.hot_log_size(), m.log.size());
+  std::set<Lsn> backlinks;  // every prev_pg_lsn some held record names
+  for (const auto& [lsn, r] : m.log) backlinks.insert(r.prev_pg_lsn);
+  EXPECT_EQ(seg.CanBridgeFrom(kInvalidLsn), backlinks.count(kInvalidLsn) > 0);
+  for (const LogRecord& r : chain) {
+    EXPECT_EQ(seg.HasRecord(r.lsn), m.log.count(r.lsn) > 0) << r.lsn;
+    EXPECT_EQ(seg.CanBridgeFrom(r.lsn), backlinks.count(r.lsn) > 0) << r.lsn;
+  }
+  const Lsn probe = chain[rng->Uniform(chain.size())].lsn;
+  for (Lsn from : {kInvalidLsn, m.applied, m.scl, probe, probe + 1}) {
+    for (size_t max : {size_t{3}, SIZE_MAX}) {
+      std::vector<Lsn> want;
+      for (auto it = m.log.upper_bound(from);
+           it != m.log.end() && want.size() < max; ++it) {
+        want.push_back(it->first);
+      }
+      std::vector<const LogRecord*> got = seg.RecordsAbove(from, max);
+      EXPECT_EQ(LsnsOf(got), want) << "from " << from;
+      for (const LogRecord* r : got) {
+        EXPECT_EQ(r->payload, m.log.at(r->lsn).payload);
+      }
+    }
+  }
+  std::vector<InventoryEntry> inv = seg.Inventory();
+  ASSERT_EQ(inv.size(), m.log.size());
+  size_t i = 0;
+  for (const auto& [lsn, r] : m.log) {
+    EXPECT_EQ(inv[i].lsn, lsn);
+    EXPECT_EQ(inv[i].prev, r.prev_pg_lsn);
+    EXPECT_EQ(inv[i].vprev, r.prev_vol_lsn);
+    EXPECT_EQ(inv[i].flags, r.flags);
+    ++i;
+  }
+  // Every page at the floor, the SCL and a probe; one page also just past
+  // the SCL (Unavailable) and just below the floor (Stale).
+  const PageId edge_page = rng->Uniform(kModelPages);
+  for (PageId page = 0; page < kModelPages; ++page) {
+    std::vector<Lsn> points = {m.applied, m.scl, probe};
+    if (page == edge_page) {
+      points.push_back(m.scl + 1);
+      if (m.applied > kInvalidLsn) points.push_back(m.applied - 1);
+    }
+    for (Lsn rp : points) {
+      Result<Page> want = m.Get(page, rp);
+      Result<Page> got = seg.GetPageAsOf(page, rp);
+      ASSERT_EQ(got.status().code(), want.status().code())
+          << "page " << page << " @" << rp << ": " << got.status().ToString();
+      if (want.ok()) {
+        EXPECT_EQ(got->raw(), want->raw()) << "page " << page << " @" << rp;
+      }
+    }
+  }
+}
+
+TEST(SegmentTest, HotLogMatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    const std::vector<LogRecord> chain = MakeRandomChain(80, &rng);
+    SegmentModel model;
+    Segment plain(0, kModelPageSize);
+    Segment cached(0, kModelPageSize);
+    cached.set_page_cache_budget(3 * kModelPageSize);  // forces evictions
+    std::vector<bool> sent(chain.size(), false);
+    std::vector<PageId> dropped;  // base pages awaiting a peer copy
+    auto deliver = [&](size_t i) {
+      const bool added = model.Add(chain[i]);
+      EXPECT_EQ(plain.AddRecord(chain[i]), added) << chain[i].lsn;
+      LogRecord moved = chain[i];
+      EXPECT_EQ(cached.AddRecord(std::move(moved)), added) << chain[i].lsn;
+      sent[i] = true;
+    };
+    auto unsent = [&] {
+      std::vector<size_t> out;
+      for (size_t i = 0; i < chain.size(); ++i) {
+        if (!sent[i]) out.push_back(i);
+      }
+      return out;
+    };
+    for (int step = 0; step < 400 && !HasFailure(); ++step) {
+      const uint64_t op = rng.Uniform(100);
+      std::vector<size_t> todo = unsent();
+      if (op < 15 && !todo.empty()) {
+        deliver(todo.front());  // next in order
+      } else if (op < 30 && !todo.empty()) {
+        deliver(todo[rng.Uniform(todo.size())]);  // opens or fills a hole
+      } else if (op < 38 && !todo.empty()) {
+        // A run delivered newest first.
+        size_t first = rng.Uniform(todo.size());
+        size_t last = std::min(todo.size(), first + 2 + rng.Uniform(4));
+        for (size_t j = last; j-- > first;) deliver(todo[j]);
+      } else if (op < 44) {
+        deliver(rng.Uniform(chain.size()));  // often a duplicate
+      } else if (op < 48 && model.applied > kInvalidLsn) {
+        // At or below the applied floor: always refused.
+        size_t i = (model.applied - 100) / 10;
+        deliver(rng.Uniform(i + 1));
+      } else if (op < 58) {
+        // Often exactly the SCL, so the whole log can retire and be GC'd.
+        auto pick = [&] {
+          return rng.Bernoulli(0.5) ? model.scl
+                                    : chain[rng.Uniform(chain.size())].lsn;
+        };
+        Lsn vdl = pick();
+        Lsn pgmrpl = pick();
+        model.vdl = std::max(model.vdl, vdl);
+        model.pgmrpl = std::max(model.pgmrpl, pgmrpl);
+        for (Segment* s : {&plain, &cached}) {
+          s->SetVdlHint(vdl);
+          s->SetPgmrpl(pgmrpl);
+        }
+      } else if (op < 72) {
+        size_t max = 1 + rng.Uniform(rng.Bernoulli(0.5) ? 10 : 100);
+        size_t n = model.Coalesce(max);
+        EXPECT_EQ(plain.CoalesceStep(max), n);
+        EXPECT_EQ(cached.CoalesceStep(max), n);
+      } else if (op < 80) {
+        size_t n = model.Gc();
+        EXPECT_EQ(plain.GarbageCollect(), n);
+        EXPECT_EQ(cached.GarbageCollect(), n);
+      } else if (op < 84 && model.max_lsn > model.applied) {
+        // Recovery truncates at a VDL: a record LSN at or above the floor.
+        Lsn above = model.applied;
+        for (const LogRecord& r : chain) {
+          if (r.lsn > model.applied && r.lsn <= model.max_lsn &&
+              rng.Bernoulli(0.2)) {
+            above = r.lsn;
+            break;
+          }
+        }
+        Epoch e = model.epoch + rng.Uniform(2);
+        if (model.epoch > 0 && rng.Bernoulli(0.2)) e = model.epoch - 1;
+        bool ok = model.Truncate(above, e).ok();
+        EXPECT_EQ(plain.Truncate(above, e).ok(), ok);
+        EXPECT_EQ(cached.Truncate(above, e).ok(), ok);
+        for (size_t i = 0; i < chain.size(); ++i) {
+          if (chain[i].lsn > above) sent[i] = false;  // may be re-sent
+        }
+      } else if (op < 87) {
+        PageId page = rng.Uniform(kModelPages);
+        model.base.erase(page);
+        plain.DropPageForRepair(page);
+        cached.DropPageForRepair(page);
+        dropped.push_back(page);
+      } else if (op < 94 && !dropped.empty()) {
+        // A peer's healthy copy: the page's chain replayed to the floor.
+        PageId page = dropped[rng.Uniform(dropped.size())];
+        Page healthy(kModelPageSize);
+        for (const LogRecord& r : chain) {
+          if (r.lsn > model.applied) break;
+          if (r.page_id == page) {
+            ASSERT_TRUE(LogApplicator::Apply(r, &healthy).ok());
+          }
+        }
+        if (!healthy.IsFormatted()) continue;
+        healthy.UpdateCrc();
+        std::erase(dropped, page);
+        model.base.insert_or_assign(page, healthy);
+        plain.RestoreBasePage(page, healthy);
+        cached.RestoreBasePage(page, healthy);
+      } else if (op < 97) {
+        for (Segment* s : {&plain, &cached}) {
+          std::string blob;
+          s->SerializeTo(&blob);
+          ASSERT_TRUE(s->DeserializeFrom(blob).ok());
+        }
+      }
+      ExpectMatchesModel(model, plain, chain, &rng);
+      ExpectMatchesModel(model, cached, chain, &rng);
+    }
+  }
 }
 
 TEST(WireTest, AllMessageTypesRoundTrip) {
