@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the hot data-path primitives:
-// redo encode/decode, CRC32C, the log applicator, slotted-page ops and
-// B+-tree point operations. These bound the simulated engine's CPU cost
+// redo encode/decode, CRC32C, the log applicator, slotted-page ops,
+// B+-tree point operations and the page-image fetch path. These bound the simulated engine's CPU cost
 // model and catch data-path regressions.
 
 #include <benchmark/benchmark.h>
@@ -11,11 +11,13 @@
 
 #include "bench/bench_util.h"
 #include "common/crc32c.h"
+#include "harness/synthetic_table.h"
 #include "log/applicator.h"
 #include "log/log_record.h"
 #include "page/btree.h"
 #include "page/page.h"
 #include "storage/segment.h"
+#include "storage/wire.h"
 #include "tests/test_util.h"
 
 namespace aurora {
@@ -173,6 +175,55 @@ void BM_SegmentGetPageAsOf(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SegmentGetPageAsOf)->Arg(0)->Arg(1);
+
+// The benchmark table's shape (perfbench): 102,400 rows of 100-byte values
+// on 4 KiB pages, 22 rows per leaf.
+SyntheticTableLayout BenchTable() {
+  return SyntheticTableLayout(1, 102400, 4096, 100);
+}
+
+// One synthesized leaf: what a storage node spends on a page that was
+// never written through the log.
+void BM_SyntheticBuildLeaf(benchmark::State& state) {
+  const SyntheticTableLayout t = BenchTable();
+  Page page(4096);
+  uint64_t row = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(t.BuildPage(t.LeafOf(row), &page));
+    row = (row + t.rows_per_leaf()) % t.rows();
+  }
+}
+BENCHMARK(BM_SyntheticBuildLeaf);
+
+// A buffer-pool miss minus the network: GetPageAsOf on a segment backed by
+// the synthetic table, the ReadPageResp encode and decode, and the
+// CRC-verified Page the engine installs. Arg 0: storage page cache off
+// (every fetch synthesizes); arg 1: on, and every fetch hits it.
+void BM_PageFetchRoundTrip(benchmark::State& state) {
+  constexpr uint64_t kLeaves = 64;
+  const SyntheticTableLayout t = BenchTable();
+  Segment seg(0, 4096);
+  seg.set_page_synthesizer(
+      [&t](PageId page, Page* out) { return t.BuildPage(page, out); });
+  if (state.range(0) != 0) seg.set_page_cache_budget(kLeaves * 4096);
+  uint64_t leaf = 0;
+  for (auto _ : state) {
+    const PageId id = t.LeafOf(leaf * t.rows_per_leaf());
+    leaf = (leaf + 1) % kLeaves;
+    Result<Page> image = seg.GetPageAsOf(id, seg.scl());
+    ReadPageRespMsg resp;
+    resp.req_id = 1;
+    resp.page_lsn = image->page_lsn();
+    resp.page_bytes = Slice(image->raw());
+    std::string payload;
+    resp.EncodeTo(&payload);
+    ReadPageRespMsg got;
+    Status s = ReadPageRespMsg::DecodeFrom(payload, &got);
+    Result<Page> page = Page::FromImage(got.page_bytes, 4096);
+    benchmark::DoNotOptimize(s.ok() && page.ok() && page->VerifyCrc());
+  }
+}
+BENCHMARK(BM_PageFetchRoundTrip)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace aurora

@@ -56,6 +56,8 @@ bool GetFixed32(Slice* input, uint32_t* value);
 bool GetFixed64(Slice* input, uint64_t* value);
 
 /// LEB128-style varints (max 10 bytes for 64-bit).
+/// Writes `v` at `dst` (room for 5 bytes) and returns the byte past it.
+char* EncodeVarint32(char* dst, uint32_t v);
 void PutVarint32(std::string* dst, uint32_t v);
 void PutVarint64(std::string* dst, uint64_t v);
 bool GetVarint32(Slice* input, uint32_t* value);

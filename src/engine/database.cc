@@ -796,8 +796,8 @@ void Database::HandleReadPageResp(const sim::Message& msg) {
     return;
   }
 
-  Page page(options_.page_size);
-  if (!page.LoadRaw(resp.page_bytes).ok() || !page.VerifyCrc()) {
+  Result<Page> page = Page::FromImage(resp.page_bytes, options_.page_size);
+  if (!page.ok() || !page->VerifyCrc()) {
     ++pr.replica_tried;
     IssuePageRead(resp.req_id);
     return;
@@ -807,7 +807,7 @@ void Database::HandleReadPageResp(const sim::Message& msg) {
   stats_.read_retry_depth.Record(static_cast<uint64_t>(pr.replica_tried));
   pending_reads_.erase(it);
   fetch_in_flight_.erase(id);
-  pool_.Install(id, std::move(page));
+  pool_.Install(id, std::move(*page));
   // Safe point: no operation is mid-attempt here, so eviction cannot
   // invalidate live page pointers.
   pool_.EvictExcess();

@@ -230,8 +230,8 @@ void ReadReplica::HandleReadPageResp(const sim::Message& msg) {
     return;
   }
 
-  Page page(options_.page_size);
-  if (!page.LoadRaw(resp.page_bytes).ok() || !page.VerifyCrc()) {
+  Result<Page> page = Page::FromImage(resp.page_bytes, options_.page_size);
+  if (!page.ok() || !page->VerifyCrc()) {
     ++pr.attempt;
     IssuePageRead(resp.req_id);
     return;
@@ -239,7 +239,7 @@ void ReadReplica::HandleReadPageResp(const sim::Message& msg) {
   PageId id = pr.page;
   pending_reads_.erase(it);
   fetch_in_flight_.erase(id);
-  Page* installed = pool_.Install(id, std::move(page));
+  Page* installed = pool_.Install(id, std::move(*page));
   pool_.EvictExcess();
 
   // Replay records that streamed past while the fetch was in flight

@@ -1,7 +1,7 @@
 #include "harness/synthetic_table.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cstring>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -47,11 +47,23 @@ SyntheticTableLayout::SyntheticTableLayout(PageId first_page, uint64_t rows,
   total_pages_ = next - first_page_;
 }
 
+size_t SyntheticTableLayout::FormatKey(uint64_t row, char* out) {
+  // "key%016llu" by hand: at least 16 digits, zero-padded, more if needed.
+  char digits[20];
+  size_t n = 0;
+  do {
+    digits[n++] = static_cast<char>('0' + row % 10);
+    row /= 10;
+  } while (row != 0);
+  while (n < 16) digits[n++] = '0';
+  memcpy(out, "key", 3);
+  for (size_t i = 0; i < n; ++i) out[3 + i] = digits[n - 1 - i];
+  return 3 + n;
+}
+
 std::string SyntheticTableLayout::KeyOf(uint64_t row) {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "key%016llu",
-           static_cast<unsigned long long>(row));
-  return buf;
+  char buf[kMaxKeyBytes];
+  return std::string(buf, FormatKey(row, buf));
 }
 
 std::string SyntheticTableLayout::UserValueOf(uint64_t row) const {
@@ -116,10 +128,16 @@ void SyntheticTableLayout::BuildAnchor(Page* out) const {
 
 void SyntheticTableLayout::BuildLeaf(uint64_t leaf_idx, Page* out) const {
   out->Format(PageOf(0, leaf_idx), PageType::kBTreeLeaf, 0);
-  uint64_t lo = leaf_idx * rows_per_leaf_;
-  uint64_t hi = std::min<uint64_t>(rows_, lo + rows_per_leaf_);
+  const uint64_t lo = leaf_idx * rows_per_leaf_;
+  const uint64_t hi = std::min<uint64_t>(rows_, lo + rows_per_leaf_);
+  // One key buffer and one value buffer, refilled per row: the stored value
+  // is the row-codec stamp (varint 0) then value_size_ copies of one byte.
+  char key[kMaxKeyBytes];
+  std::string value(1 + value_size_, '\0');
   for (uint64_t row = lo; row < hi; ++row) {
-    Status s = out->InsertRecord(KeyOf(row), StoredValueOf(row));
+    const size_t key_len = FormatKey(row, key);
+    memset(value.data() + 1, 'a' + static_cast<int>(row % 23), value_size_);
+    Status s = out->AppendRecord(Slice(key, key_len), value);
     AURORA_CHECK(s.ok(), "synthetic leaf build overflow");
   }
   if (leaf_idx > 0) out->set_prev_page(PageOf(0, leaf_idx - 1));
@@ -138,18 +156,17 @@ void SyntheticTableLayout::BuildInternal(size_t level_idx, uint64_t node_idx,
   uint64_t child_hi =
       std::min<uint64_t>(levels_[level_idx - 1].count,
                          child_lo + level.fanout);
-  bool is_root =
-      level_idx + 1 == levels_.size();
+  bool is_root = level_idx + 1 == levels_.size();
+  char key[kMaxKeyBytes];
+  char child[8];
   for (uint64_t c = child_lo; c < child_hi; ++c) {
-    std::string key;
-    if (is_root && c == child_lo) {
-      key = "";  // the root's leftmost entry covers every smaller key
-    } else {
-      key = KeyOf(FirstRowOf(level_idx - 1, c));
-    }
-    std::string child;
-    PutFixed64(&child, PageOf(level_idx - 1, c));
-    Status s = out->InsertRecord(key, child);
+    // The root's leftmost entry has the empty key: it covers every smaller
+    // key.
+    const size_t key_len = is_root && c == child_lo
+                               ? 0
+                               : FormatKey(FirstRowOf(level_idx - 1, c), key);
+    EncodeFixed64(child, PageOf(level_idx - 1, c));
+    Status s = out->AppendRecord(Slice(key, key_len), Slice(child, 8));
     AURORA_CHECK(s.ok(), "synthetic internal build overflow");
   }
   out->UpdateCrc();

@@ -59,6 +59,11 @@ class SyntheticTableLayout {
     uint64_t fanout;  // children per node (except possibly the last)
   };
 
+  static constexpr size_t kMaxKeyBytes = 23;  // "key" + 20 digits
+  /// Writes KeyOf(row) into `out` (room for kMaxKeyBytes); returns its
+  /// length.
+  static size_t FormatKey(uint64_t row, char* out);
+
   void BuildLeaf(uint64_t leaf_idx, Page* out) const;
   void BuildInternal(size_t level_idx, uint64_t node_idx, Page* out) const;
   void BuildAnchor(Page* out) const;

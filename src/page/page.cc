@@ -1,7 +1,6 @@
 #include "page/page.h"
 
 #include <cassert>
-#include <vector>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -29,6 +28,18 @@ constexpr size_t kSlotSize = 2;
 Page::Page(size_t page_size) : data_(page_size, '\0') {
   AURORA_CHECK(page_size >= kMinPageSize && page_size <= kMaxPageSize,
                "page size out of range");
+}
+
+Page::Page(const Slice& image) : data_(image.data(), image.size()) {
+  AURORA_CHECK(image.size() >= kMinPageSize && image.size() <= kMaxPageSize,
+               "page size out of range");
+}
+
+Result<Page> Page::FromImage(const Slice& image, size_t page_size) {
+  if (image.size() != page_size) {
+    return Status::InvalidArgument("page size mismatch");
+  }
+  return Page(image);
 }
 
 void Page::Format(PageId id, PageType type, uint8_t level) {
@@ -164,31 +175,35 @@ bool Page::HasRoomFor(size_t key_size, size_t value_size) const {
 }
 
 uint16_t Page::AppendToHeap(const Slice& key, const Slice& value) {
-  uint16_t off = heap_end();
-  std::string rec;
-  PutVarint32(&rec, static_cast<uint32_t>(key.size()));
-  rec.append(key.data(), key.size());
-  PutVarint32(&rec, static_cast<uint32_t>(value.size()));
-  rec.append(value.data(), value.size());
-  memcpy(data_.data() + off, rec.data(), rec.size());
-  set_heap_end(static_cast<uint16_t>(off + rec.size()));
+  const uint16_t off = heap_end();
+  char* p = data_.data() + off;
+  p = EncodeVarint32(p, static_cast<uint32_t>(key.size()));
+  memcpy(p, key.data(), key.size());
+  p = EncodeVarint32(p + key.size(), static_cast<uint32_t>(value.size()));
+  memcpy(p, value.data(), value.size());
+  p += value.size();
+  set_heap_end(static_cast<uint16_t>(p - data_.data()));
   return off;
 }
 
 void Page::Compact() {
-  int n = slot_count();
-  std::vector<std::pair<std::string, std::string>> records;
-  records.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    Slice k, v;
-    RecordAt(SlotOffset(i), &k, &v);
-    records.emplace_back(k.ToString(), v.ToString());
-  }
+  // Re-append the live records in slot (key) order from one copy of the
+  // heap; bytes past the new heap end are left as they were.
+  const size_t used = heap_end() - kHeaderSize;
+  const std::string heap(data_.data() + kHeaderSize, used);
+  const int n = slot_count();
   set_heap_end(static_cast<uint16_t>(kHeaderSize));
   set_dead_space(0);
   for (int i = 0; i < n; ++i) {
-    uint16_t off = AppendToHeap(records[i].first, records[i].second);
-    SetSlotOffset(i, off);
+    // An offset below the heap wraps to a huge value and fails the check.
+    const size_t old_off = SlotOffset(i) - kHeaderSize;
+    AURORA_CHECK(old_off < used, "corrupt slot during compaction");
+    Slice in(heap.data() + old_off, used - old_off);
+    Slice k, v;
+    bool ok =
+        GetLengthPrefixedSlice(&in, &k) && GetLengthPrefixedSlice(&in, &v);
+    AURORA_CHECK(ok, "corrupt record during compaction");
+    SetSlotOffset(i, AppendToHeap(k, v));
   }
 }
 
@@ -197,6 +212,18 @@ Status Page::InsertRecord(const Slice& key, const Slice& value) {
   if (pos < slot_count() && KeyAt(pos) == key) {
     return Status::InvalidArgument("duplicate key");
   }
+  return InsertAt(pos, key, value);
+}
+
+Status Page::AppendRecord(const Slice& key, const Slice& value) {
+  const int n = slot_count();
+  if (n > 0 && KeyAt(n - 1).compare(key) >= 0) {
+    return Status::InvalidArgument("key does not sort last");
+  }
+  return InsertAt(n, key, value);
+}
+
+Status Page::InsertAt(int pos, const Slice& key, const Slice& value) {
   size_t need = RecordSize(key, value) + kSlotSize;
   if (FreeSpace() < need) {
     if (FreeSpace() + dead_space() < need) {

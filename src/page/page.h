@@ -48,6 +48,9 @@ class Page {
 
   /// Constructs an unformatted (all-zero) page buffer.
   explicit Page(size_t page_size);
+  /// A page holding a copy of `image` (e.g. from the network);
+  /// InvalidArgument unless the image is `page_size` bytes.
+  static Result<Page> FromImage(const Slice& image, size_t page_size);
 
   Page(const Page&) = default;
   Page& operator=(const Page&) = default;
@@ -77,6 +80,10 @@ class Page {
   /// Inserts a new record. Fails with OutOfRange when the page is full
   /// (caller must split) and InvalidArgument when the key already exists.
   Status InsertRecord(const Slice& key, const Slice& value);
+  /// InsertRecord for a key that sorts after every key on the page (a
+  /// sorted bulk build), without the slot search; the page bytes come out
+  /// the same. InvalidArgument if the key does not sort last.
+  Status AppendRecord(const Slice& key, const Slice& value);
 
   /// Removes the record with `key`; NotFound if absent.
   Status DeleteRecord(const Slice& key);
@@ -133,9 +140,13 @@ class Page {
   size_t RecordSize(const Slice& key, const Slice& value) const;
   /// Rewrites the heap dropping dead space.
   void Compact();
+  /// Inserts a record at sorted slot position `pos`.
+  Status InsertAt(int pos, const Slice& key, const Slice& value);
   /// Appends a record to the heap; returns its offset. Caller must have
   /// verified space.
   uint16_t AppendToHeap(const Slice& key, const Slice& value);
+
+  explicit Page(const Slice& image);
 
   std::string data_;
 };

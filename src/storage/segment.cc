@@ -187,26 +187,27 @@ Result<Page> Segment::GetPageAsOf(PageId page, Lsn read_point) const {
     }
   }
 
-  Page result(page_size_);
   auto base_it = base_pages_.find(page);
-  if (base_it != base_pages_.end()) {
-    // Verify the stored image before serving it: a latent sector fault
-    // planted between scrub rounds must surface as Corruption (triggering
-    // read-repair from a peer), never as a silently wrong page.
-    if (base_it->second.IsFormatted() && !base_it->second.VerifyCrc()) {
-      corrupt_pages_.insert(page);
-      return Status::Corruption("base page CRC mismatch");
-    }
-    result = base_it->second;
-  } else if (synthesizer_) {
-    synthesizer_(page, &result);
+  const bool has_base = base_it != base_pages_.end();
+  // Verify the stored image before serving it: a latent sector fault
+  // planted between scrub rounds must surface as Corruption (triggering
+  // read-repair from a peer), never as a silently wrong page.
+  if (has_base && base_it->second.IsFormatted() &&
+      !base_it->second.VerifyCrc()) {
+    corrupt_pages_.insert(page);
+    return Status::Corruption("base page CRC mismatch");
   }
-  Status s = Replay(PageLsns(page, kInvalidLsn, read_point), &result);
+  Page result = has_base ? base_it->second : Page(page_size_);
+  if (!has_base && synthesizer_) synthesizer_(page, &result);
+  const auto lsns = PageLsns(page, kInvalidLsn, read_point);
+  Status s = Replay(lsns, &result);
   if (!s.ok()) return s;
   if (!result.IsFormatted()) {
     return Status::NotFound("page never written");
   }
-  result.UpdateCrc();
+  // A base image was just verified and a synthesized one arrives stamped;
+  // only a replayed image needs a fresh CRC.
+  if (!lsns.empty()) result.UpdateCrc();
   if (cache_on) {
     ++cache_stats_.misses;
     // Historical reads must not displace the newer cached version.
@@ -426,10 +427,9 @@ Status Segment::DeserializeFrom(Slice input) {
     if (!GetVarint64(&input, &id) || !GetLengthPrefixedSlice(&input, &raw)) {
       return Status::Corruption("bad segment page entry");
     }
-    Page page(page_size_);
-    Status s = page.LoadRaw(raw);
-    if (!s.ok()) return s;
-    base_pages_.emplace(id, std::move(page));
+    Result<Page> page = Page::FromImage(raw, page_size_);
+    if (!page.ok()) return page.status();
+    base_pages_.emplace(id, std::move(*page));
   }
   return Status::OK();
 }

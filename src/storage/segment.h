@@ -49,7 +49,9 @@ class Segment {
   /// written through the log can be synthesized deterministically on first
   /// touch instead of being materialized eagerly — the simulation analogue
   /// of a volume restored from an S3 snapshot. The function returns true if
-  /// it produced the page's base image.
+  /// it produced the page's base image, which must carry a valid CRC
+  /// (Page::UpdateCrc): GetPageAsOf serves a synthesized image with no
+  /// records to replay exactly as built, without re-stamping it.
   using PageSynthesizer = std::function<bool(PageId, Page*)>;
   void set_page_synthesizer(PageSynthesizer fn) {
     synthesizer_ = std::move(fn);

@@ -332,6 +332,8 @@ void StorageNode::HandleReadPage(const sim::Message& msg) {
     if (gen != generation_ || crashed_) return;
     ReadPageRespMsg resp;
     resp.req_id = req.req_id;
+    // The response views the served image until it is encoded below.
+    Result<Page> page = Status::NotFound();
     Segment* seg = segment(req.pg);
     if (!ds.ok()) {
       resp.status_code = static_cast<uint8_t>(Status::Code::kIOError);
@@ -354,11 +356,11 @@ void StorageNode::HandleReadPage(const sim::Message& msg) {
       ++stats_.stale_config_rejects;
       ++stats_.page_read_errors;
     } else {
-      Result<Page> page = seg->GetPageAsOf(req.page, req.read_point);
+      page = seg->GetPageAsOf(req.page, req.read_point);
       if (page.ok()) {
         resp.status_code = static_cast<uint8_t>(Status::Code::kOk);
         resp.page_lsn = page->page_lsn();
-        resp.page_bytes = page->raw();
+        resp.page_bytes = Slice(page->raw());
         ++stats_.page_reads_served;
       } else {
         resp.status_code = static_cast<uint8_t>(page.status().code());

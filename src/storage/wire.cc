@@ -128,6 +128,8 @@ Status ReadPageReqMsg::DecodeFrom(Slice input, ReadPageReqMsg* out) {
 }
 
 void ReadPageRespMsg::EncodeTo(std::string* dst) const {
+  // Header varints (at most 10 + 1 + 10 + 5 bytes), then the image.
+  dst->reserve(dst->size() + 26 + page_bytes.size());
   PutVarint64(dst, req_id);
   dst->push_back(static_cast<char>(status_code));
   PutVarint64(dst, page_lsn);
@@ -145,7 +147,7 @@ Status ReadPageRespMsg::DecodeFrom(Slice input, ReadPageRespMsg* out) {
       !GetLengthPrefixedSlice(&input, &bytes)) {
     return Malformed("read resp");
   }
-  out->page_bytes = bytes.ToString();
+  out->page_bytes = bytes;
   return Status::OK();
 }
 

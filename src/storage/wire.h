@@ -134,14 +134,17 @@ struct ReadPageRespMsg {
   uint64_t req_id = 0;
   uint8_t status_code = 0;  // Status::Code
   Lsn page_lsn = kInvalidLsn;
-  std::string page_bytes;
+  /// The page image, not owned. To encode, it views the page being served
+  /// (EncodeTo copies it into the payload); after DecodeFrom it views the
+  /// input, so it is valid only while the message's payload is.
+  Slice page_bytes;
 
   void EncodeTo(std::string* dst) const;
   static Status DecodeFrom(Slice input, ReadPageRespMsg* out);
 };
 
 /// Recovery: writer asks each reachable replica of a PG for its log-chain
-/// inventory above a base LSN (§4.3).
+/// inventory: every record in its hot log (§4.3).
 struct InventoryReqMsg {
   uint64_t req_id = 0;
   PgId pg = 0;
@@ -166,7 +169,8 @@ struct InventoryRespMsg {
   /// Highest VDL the writer ever told this segment (a durable completeness
   /// floor: every record at or below it once reached a write quorum).
   Lsn vdl_hint = kInvalidLsn;
-  std::vector<InventoryEntry> entries;  // all hot-log records (lsn,prev,flags)
+  /// All hot-log records, as (lsn, prev, vprev, flags).
+  std::vector<InventoryEntry> entries;
 
   void EncodeTo(std::string* dst) const;
   static Status DecodeFrom(Slice input, InventoryRespMsg* out);

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "harness/bulk_load.h"
+#include "harness/cluster.h"
+#include "harness/synthetic_table.h"
 #include "storage/segment.h"
 
 namespace aurora {
@@ -254,6 +258,133 @@ TEST(PageCacheTest, DropForRepairAndRestoreInvalidate) {
   pair.control.RestoreBasePage(0, *healthy);
   pair.ExpectSameRead(0, tip);
   pair.ExpectSameRead(0, pair.control.applied_lsn());
+}
+
+// Every image GetPageAsOf returns carries a valid CRC, whichever source it
+// came from, with the cache on (param true) and off. The segment re-stamps
+// only images it replayed records onto: a base image has just been
+// verified, and a synthesized one arrives stamped.
+class PageFetchCrcTest : public ::testing::TestWithParam<bool> {};
+
+INSTANTIATE_TEST_SUITE_P(Cache, PageFetchCrcTest, ::testing::Bool());
+
+TEST_P(PageFetchCrcTest, EverySourceReturnsAStampedImage) {
+  constexpr PageId kSynth = 9;
+  Segment seg(0, 4096);
+  if (GetParam()) seg.set_page_cache_budget(64 * 4096);
+  seg.set_page_synthesizer([](PageId id, Page* out) {
+    if (id != kSynth) return false;
+    out->Format(id, PageType::kBTreeLeaf, 0);
+    EXPECT_TRUE(out->InsertRecord("synth", "row").ok());
+    out->UpdateCrc();
+    return true;
+  });
+  auto expect_stamped = [&](PageId page, Lsn rp, const char* source) {
+    Result<Page> got = seg.GetPageAsOf(page, rp);
+    ASSERT_TRUE(got.ok()) << source << ": " << got.status().ToString();
+    EXPECT_TRUE(got->VerifyCrc()) << source;
+  };
+  auto records = MakeChain(16);  // pages 0..3, record i on page i % 4
+  for (int i = 0; i < 12; ++i) seg.AddRecord(records[i]);
+
+  expect_stamped(kSynth, seg.scl(), "synthesized, no replay");
+  expect_stamped(kSynth, seg.scl(), "synthesized, cache hit");
+  expect_stamped(1, records[5].lsn, "full replay");
+  expect_stamped(1, records[5].lsn, "cache hit");
+  expect_stamped(1, records[9].lsn, "partial replay");
+
+  // Materialize and collect page 2's records: its base image alone is the
+  // page, and it is served without replay.
+  const Lsn floor = records[11].lsn;
+  seg.SetVdlHint(floor);
+  seg.SetPgmrpl(floor);
+  seg.CoalesceStep(1000);
+  seg.GarbageCollect();
+  expect_stamped(2, floor, "base, no replay");
+  expect_stamped(2, floor, "base, cache hit");
+  for (int i = 12; i < 16; ++i) seg.AddRecord(records[i]);
+  expect_stamped(3, seg.scl(), "base + replay");
+  expect_stamped(2, seg.scl(), "base, partial replay");
+
+  const PageCacheStats& stats = seg.page_cache_stats();
+  if (GetParam()) {
+    EXPECT_EQ(stats.hits, 3u);
+    EXPECT_EQ(stats.partial_hits, 2u);
+  } else {
+    EXPECT_EQ(stats.hits + stats.partial_hits + stats.misses, 0u);
+  }
+}
+
+// The PageSynthesizer contract is that images arrive stamped: the segment
+// serves a synthesized image as built, so a synthesizer that breaks the
+// contract is caught by the reader's VerifyCrc rather than hidden under a
+// fresh CRC.
+TEST_P(PageFetchCrcTest, SynthesizedImageIsServedAsBuilt) {
+  Segment seg(0, 4096);
+  if (GetParam()) seg.set_page_cache_budget(64 * 4096);
+  seg.set_page_synthesizer([](PageId id, Page* out) {
+    out->Format(id, PageType::kBTreeLeaf, 0);
+    EXPECT_TRUE(out->InsertRecord("synth", "row").ok());
+    out->UpdateCrc();
+    out->CorruptForTesting(2000);
+    return true;
+  });
+  auto records = MakeChain(4);
+  for (const auto& r : records) seg.AddRecord(r);
+  Result<Page> got = seg.GetPageAsOf(7, seg.scl());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_FALSE(got->VerifyCrc());
+}
+
+// End to end: a storage node answers a page read with a valid frame (the
+// fabric stamps the frame CRC over the bytes it was given) around an image
+// with one flipped byte. The writer and the read replica must both reject
+// the image and fetch the page from another segment replica.
+TEST(PageFetchCrcTest, FlippedPageByteIsRejectedAndRetriedElsewhere) {
+  ClusterOptions o;
+  o.engine.page_size = 4096;
+  o.engine.pages_per_pg = 256;
+  o.engine.buffer_pool_pages = 4096;
+  o.storage_nodes_per_az = 3;
+  o.num_replicas = 1;
+  AuroraCluster cluster(o);
+  ASSERT_TRUE(cluster.BootstrapSync().ok());
+  SyntheticCatalog catalog;
+  auto layout = AttachSyntheticTable(&cluster, &catalog, "t", 5000, 100);
+  ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  const SyntheticTableLayout* t = *layout;
+  constexpr uint64_t kWriterRow = 100;
+  constexpr uint64_t kReplicaRow = 4000;
+  const PageId writer_leaf = t->LeafOf(kWriterRow);
+  const PageId replica_leaf = t->LeafOf(kReplicaRow);
+  ASSERT_NE(writer_leaf, replica_leaf);
+
+  // The first image built of either leaf, on whichever storage node serves
+  // it first, gets one byte flipped after its CRC stamp; later builds (on
+  // the other segment replicas) are clean.
+  std::map<PageId, int> builds;
+  cluster.control_plane()->SetPageSynthesizer(
+      [&](PageId page, Page* out) {
+        if (!catalog.BuildPage(page, out)) return false;
+        if ((page == writer_leaf || page == replica_leaf) &&
+            builds[page]++ == 0) {
+          out->CorruptForTesting(2000);
+        }
+        return true;
+      });
+
+  auto got = cluster.GetSync(t->anchor(), SyntheticTableLayout::KeyOf(kWriterRow));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, t->UserValueOf(kWriterRow));
+  EXPECT_GE(builds[writer_leaf], 2) << "the writer accepted a corrupt image";
+  EXPECT_GE(cluster.writer()->stats().read_retry_depth.max(), 1u);
+
+  cluster.RunFor(Millis(50));
+  auto replica_got = cluster.ReplicaGetSync(
+      0, t->anchor(), SyntheticTableLayout::KeyOf(kReplicaRow));
+  ASSERT_TRUE(replica_got.ok()) << replica_got.status().ToString();
+  EXPECT_EQ(*replica_got, t->UserValueOf(kReplicaRow));
+  EXPECT_GE(builds[replica_leaf], 2) << "the replica accepted a corrupt image";
 }
 
 // Property test: a randomized schedule of writes (with gaps), watermark

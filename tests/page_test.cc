@@ -4,6 +4,8 @@
 #include <map>
 #include <string>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "page/page.h"
 
@@ -149,6 +151,29 @@ TEST_P(PageTest, UpdateGrowthUsesCompaction) {
   }
 }
 
+TEST_P(PageTest, AppendRecordMatchesInsertRecordBytes) {
+  Page inserted(GetParam());
+  inserted.Format(42, PageType::kBTreeLeaf, 0);
+  for (int i = 0;; ++i) {
+    std::string k = "key" + std::to_string(10000 + i);
+    std::string v(i % 150, static_cast<char>('a' + i % 26));
+    Status a = page_.AppendRecord(k, v);
+    Status b = inserted.InsertRecord(k, v);
+    ASSERT_EQ(a.code(), b.code()) << i;
+    if (!a.ok()) {
+      EXPECT_TRUE(a.IsOutOfRange());
+      break;
+    }
+  }
+  EXPECT_EQ(page_.raw(), inserted.raw());
+  // Keys must sort strictly last: an equal or smaller key is refused.
+  ASSERT_GT(page_.slot_count(), 1);
+  EXPECT_TRUE(page_.AppendRecord(page_.KeyAt(page_.slot_count() - 1), "")
+                  .IsInvalidArgument());
+  EXPECT_TRUE(page_.AppendRecord("a", "").IsInvalidArgument());
+  EXPECT_EQ(page_.raw(), inserted.raw());
+}
+
 TEST_P(PageTest, LowerBoundSemantics) {
   for (const char* k : {"b", "d", "f"}) {
     ASSERT_TRUE(page_.InsertRecord(k, "v").ok());
@@ -196,6 +221,77 @@ TEST_P(PageTest, LoadRawRoundTrip) {
   EXPECT_EQ(v.ToString(), "v");
   Page wrong_size(GetParam() == 512 ? 1024 : 512);
   EXPECT_TRUE(wrong_size.LoadRaw(page_.raw()).IsInvalidArgument());
+}
+
+// Seeded insert/update/delete churn that keeps the page full, so inserts
+// and growing updates repeatedly compact the heap. The page must match a
+// std::map model after every step, and each final image (heap layout and
+// the stale bytes compaction leaves past heap_end included) must match the
+// CRC pinned from the row-copying Compact/AppendToHeap it replaced.
+TEST_P(PageTest, HeapChurnMatchesPinnedImages) {
+  const size_t size = GetParam();
+  const std::map<size_t, uint32_t> kPinnedCrc = {
+      {512, 374682548u},
+      {4096, 3771746378u},
+      {16384, 3568691125u},
+      {32768, 3011536326u}};
+  const uint64_t universe = size / 32;
+  const uint64_t max_value = std::min<size_t>(size / 16, 150);
+  auto record_bytes = [](const std::string& k, const std::string& v) {
+    return VarintLength(k.size()) + k.size() + VarintLength(v.size()) +
+           v.size() + 2;
+  };
+  std::map<std::string, std::string> model;
+  Random rng(1000 + size);
+  int compactions = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t id = rng.Uniform(universe);
+    std::string key = "k" + std::to_string(100000 + id);
+    // Every 7th key is long enough for a two-byte length varint.
+    if (id % 7 == 3 && size >= 4096) key.resize(140, 'K');
+    std::string val(rng.Uniform(max_value) + 1,
+                    static_cast<char>('a' + step % 26));
+    const uint64_t op = rng.Uniform(10);
+    const size_t free_before = page_.FreeSpace();
+    if (op < 4) {
+      Status s = page_.InsertRecord(key, val);
+      if (model.count(key)) {
+        ASSERT_TRUE(s.IsInvalidArgument()) << "step " << step;
+      } else if (s.ok()) {
+        if (free_before < record_bytes(key, val)) ++compactions;
+        model[key] = val;
+      } else {
+        ASSERT_TRUE(s.IsOutOfRange()) << "step " << step;
+      }
+    } else if (op < 7) {
+      Status s = page_.UpdateRecord(key, val);
+      if (!model.count(key)) {
+        ASSERT_TRUE(s.IsNotFound()) << "step " << step;
+      } else if (s.ok()) {
+        if (free_before < record_bytes(key, val)) ++compactions;
+        model[key] = val;
+      } else {
+        ASSERT_TRUE(s.IsOutOfRange()) << "step " << step;
+      }
+    } else if (op < 9) {
+      Status s = page_.DeleteRecord(key);
+      ASSERT_EQ(s.ok(), model.erase(key) > 0) << "step " << step;
+    } else {
+      Slice v;
+      ASSERT_EQ(page_.GetRecord(key, &v), model.count(key) > 0);
+    }
+    ASSERT_EQ(page_.slot_count(), static_cast<int>(model.size()));
+    int slot = 0;
+    for (const auto& [k, v] : model) {
+      ASSERT_EQ(page_.KeyAt(slot).ToString(), k) << "step " << step;
+      ASSERT_EQ(page_.ValueAt(slot).ToString(), v) << "step " << step;
+      ++slot;
+    }
+  }
+  EXPECT_GT(compactions, 10);
+  page_.UpdateCrc();
+  EXPECT_EQ(crc32c::Value(page_.raw().data(), size), kPinnedCrc.at(size))
+      << "page size " << size;
 }
 
 // Property test: a long random op sequence against a std::map reference

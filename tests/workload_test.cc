@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
+#include "common/crc32c.h"
 #include "harness/bulk_load.h"
 #include "harness/client_api.h"
 #include "harness/cluster.h"
@@ -29,6 +31,85 @@ TEST(SyntheticTableTest, LayoutCoversAllRows) {
   Page outside(4096);
   EXPECT_FALSE(t.BuildPage(t.end_page(), &outside));
   EXPECT_FALSE(t.BuildPage(99, &outside));
+}
+
+// The row-at-a-time leaf build that BuildLeaf replaced: keys and values
+// materialized as strings, one InsertRecord per row, then the sibling links
+// and the CRC stamp. Kept only as the oracle for the one-pass build.
+Page ReferenceLeaf(const SyntheticTableLayout& t, PageId page,
+                   size_t page_size) {
+  const PageId first_leaf = t.LeafOf(0);
+  const uint64_t leaves = t.LeafOf(t.rows() - 1) - first_leaf + 1;
+  const uint64_t leaf_idx = page - first_leaf;
+  Page out(page_size);
+  out.Format(page, PageType::kBTreeLeaf, 0);
+  const uint64_t lo = leaf_idx * t.rows_per_leaf();
+  const uint64_t hi = std::min<uint64_t>(t.rows(), lo + t.rows_per_leaf());
+  for (uint64_t row = lo; row < hi; ++row) {
+    EXPECT_TRUE(out.InsertRecord(SyntheticTableLayout::KeyOf(row),
+                                 t.StoredValueOf(row))
+                    .ok());
+  }
+  if (leaf_idx > 0) out.set_prev_page(page - 1);
+  if (leaf_idx + 1 < leaves) out.set_next_page(page + 1);
+  out.UpdateCrc();
+  return out;
+}
+
+TEST(SyntheticTableTest, KeyOfKnownAnswers) {
+  EXPECT_EQ(SyntheticTableLayout::KeyOf(0), "key0000000000000000");
+  EXPECT_EQ(SyntheticTableLayout::KeyOf(5), "key0000000000000005");
+  EXPECT_EQ(SyntheticTableLayout::KeyOf(9999999999999999ull),
+            "key9999999999999999");
+  // Past 16 digits the key grows, exactly as "%016llu" prints it.
+  EXPECT_EQ(SyntheticTableLayout::KeyOf(10000000000000000ull),
+            "key10000000000000000");
+  EXPECT_EQ(SyntheticTableLayout::KeyOf(UINT64_MAX),
+            "key18446744073709551615");
+}
+
+TEST(SyntheticTableTest, BuildPageMatchesRowAtATimeReference) {
+  struct Case {
+    uint64_t rows;
+    size_t page_size;
+    size_t value_size;
+    uint32_t digest;  // CRC32C over every page image, pinned
+  };
+  // 4 KiB pages of 100-byte values hold 22 rows per leaf (the benchmark's
+  // shape): 21/22/23 straddle one leaf; the larger tables add internal
+  // levels. The 16 KiB case has a multi-byte value-length varint.
+  const Case kCases[] = {
+      {1, 4096, 100, 2549276602u},
+      {21, 4096, 100, 2662048511u},
+      {22, 4096, 100, 3715809752u},
+      {23, 4096, 100, 3540707796u},
+      {25600, 4096, 100, 2211861776u},
+      {102400, 4096, 100, 889948200u},
+      {300001, 4096, 100, 1051552199u},
+      {25600, 16384, 200, 2291912756u},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE("rows " + std::to_string(c.rows) + " page " +
+                 std::to_string(c.page_size));
+    SyntheticTableLayout t(7, c.rows, c.page_size, c.value_size);
+    const PageId first_leaf = t.LeafOf(0);
+    const PageId last_leaf = t.LeafOf(c.rows - 1);
+    uint32_t digest = 0;
+    uint64_t leaves_checked = 0;
+    for (PageId p = t.first_page(); p < t.end_page(); ++p) {
+      Page got(c.page_size);
+      ASSERT_TRUE(t.BuildPage(p, &got)) << p;
+      ASSERT_TRUE(got.VerifyCrc()) << p;
+      digest = crc32c::Extend(digest, got.raw().data(), c.page_size);
+      if (p >= first_leaf && p <= last_leaf) {
+        ASSERT_EQ(got.raw(), ReferenceLeaf(t, p, c.page_size).raw())
+            << "leaf " << p;
+        ++leaves_checked;
+      }
+    }
+    EXPECT_EQ(leaves_checked, last_leaf - first_leaf + 1);
+    EXPECT_EQ(digest, c.digest);
+  }
 }
 
 TEST(SyntheticTableTest, SynthesizedTreeIsAValidBTree) {
