@@ -90,7 +90,7 @@ void Run() {
     chaos.SetAdversary(pt.cfg);
 
     AuroraClient client(run.cluster->writer());
-    SysbenchDriver driver(run.cluster->writer_loop(), &client, run.table, sopts);
+    SysbenchDriver driver(run.cluster->loop(), &client, run.table, sopts);
     bool done = false;
     driver.Run([&] { done = true; });
     run.cluster->RunUntil([&] { return done; }, Minutes(60));

@@ -11,9 +11,8 @@ namespace aurora::bench {
 namespace {
 
 void RunOne(const char* label, const char* key, bool gossip_on,
-            int sim_shards, BenchReport* report) {
+            BenchReport* report) {
   ClusterOptions copts = StandardAuroraOptions();
-  copts.sim_shards = sim_shards;
   if (!gossip_on) {
     copts.storage.gossip_interval = Minutes(60);  // effectively disabled
   }
@@ -54,14 +53,14 @@ void RunOne(const char* label, const char* key, bool gossip_on,
   report->AttachSnapshot(prefix + ".cluster", cluster.metrics()->Snapshot());
 }
 
-void Run(int sim_shards) {
+void Run() {
   PrintHeader("Ablation: gossip-driven gap filling under 2% message loss",
               "Figure 4 step 4 (§4.1)");
   printf("%-14s %14s %22s\n", "gossip", "complete segs",
          "records backfilled");
   BenchReport report("ablation_gossip");
-  RunOne("on", "on", true, sim_shards, &report);
-  RunOne("off", "off", false, sim_shards, &report);
+  RunOne("on", "on", true, &report);
+  RunOne("off", "off", false, &report);
   printf("\nExpected shape: with gossip every replica converges to\n");
   printf("SCL >= VDL; without it, replicas that missed batches stay\n");
   printf("permanently holey (quorum still holds, but read routing and\n");
@@ -72,7 +71,7 @@ void Run(int sim_shards) {
 }  // namespace
 }  // namespace aurora::bench
 
-int main(int argc, char** argv) {
-  aurora::bench::Run(aurora::bench::ParseSimShards(argc, argv));
+int main() {
+  aurora::bench::Run();
   return 0;
 }

@@ -11,7 +11,7 @@
 namespace aurora::bench {
 namespace {
 
-void Run(int sim_shards) {
+void Run() {
   PrintHeader("Ablation: LSN Allocation Limit back-pressure",
               "§4.2.1 (LAL, production value 10M)");
   printf("%-14s %10s %14s %14s %12s\n", "LAL (bytes)", "writes/s",
@@ -21,7 +21,6 @@ void Run(int sim_shards) {
                        uint64_t{10000000}}) {
     ClusterOptions copts = StandardAuroraOptions();
     copts.engine.lal = lal;
-    copts.sim_shards = sim_shards;
     // Degrade the whole fleet's disks so durability lags the workload.
     copts.storage.disk.max_iops = 800;
     AuroraCluster cluster(copts);
@@ -36,13 +35,11 @@ void Run(int sim_shards) {
     sopts.connections = 32;
     sopts.duration = Seconds(2);
     sopts.warmup = Millis(300);
-    SysbenchDriver driver(cluster.writer_loop(), &client, (*layout)->anchor(),
-                          sopts);
+    SysbenchDriver driver(cluster.loop(), &client, (*layout)->anchor(), sopts);
     // Interval windows on the production-LAL point: the backlog build-up is
     // a time-series story, not a single number.
     if (lal == 10000000) {
-      driver.EnableIntervalMetrics(cluster.metrics(), Millis(250),
-                                   cluster.loop()->control());
+      driver.EnableIntervalMetrics(cluster.metrics(), Millis(250));
     }
     bool done = false;
     driver.Run([&] { done = true; });
@@ -81,7 +78,7 @@ void Run(int sim_shards) {
 }  // namespace
 }  // namespace aurora::bench
 
-int main(int argc, char** argv) {
-  aurora::bench::Run(aurora::bench::ParseSimShards(argc, argv));
+int main() {
+  aurora::bench::Run();
   return 0;
 }

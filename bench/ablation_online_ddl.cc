@@ -10,13 +10,12 @@
 namespace aurora::bench {
 namespace {
 
-void Run(int sim_shards) {
+void Run() {
   PrintHeader("Ablation: online DDL (instant vs table-copy ALTER)",
               "§7.3 (schema evolution)");
 
   const uint64_t rows = RowsForGb(10);
   ClusterOptions copts = StandardAuroraOptions();
-  copts.sim_shards = sim_shards;
   AuroraCluster cluster(copts);
   if (!cluster.BootstrapSync().ok()) return;
   SyntheticCatalog catalog;
@@ -32,7 +31,7 @@ void Run(int sim_shards) {
   sopts.connections = 16;
   sopts.duration = Seconds(3);
   sopts.warmup = Millis(300);
-  SysbenchDriver driver(cluster.writer_loop(), &client, table, sopts);
+  SysbenchDriver driver(cluster.loop(), &client, table, sopts);
   bool done = false;
   driver.Run([&] { done = true; });
 
@@ -83,7 +82,7 @@ void Run(int sim_shards) {
 }  // namespace
 }  // namespace aurora::bench
 
-int main(int argc, char** argv) {
-  aurora::bench::Run(aurora::bench::ParseSimShards(argc, argv));
+int main() {
+  aurora::bench::Run();
   return 0;
 }

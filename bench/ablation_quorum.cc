@@ -12,10 +12,9 @@ namespace aurora::bench {
 namespace {
 
 void RunOne(const char* label, const char* key, QuorumConfig q,
-            double slow_factor, int sim_shards, BenchReport* report) {
+            double slow_factor, BenchReport* report) {
   ClusterOptions copts = StandardAuroraOptions();
   copts.engine.quorum = q;
-  copts.sim_shards = sim_shards;
   AuroraCluster cluster(copts);
   if (!cluster.BootstrapSync().ok()) return;
   SyntheticCatalog catalog;
@@ -32,7 +31,7 @@ void RunOne(const char* label, const char* key, QuorumConfig q,
   sopts.connections = 16;
   sopts.duration = Seconds(2);
   sopts.warmup = Millis(300);
-  SysbenchDriver driver(cluster.writer_loop(), &client, (*layout)->anchor(), sopts);
+  SysbenchDriver driver(cluster.loop(), &client, (*layout)->anchor(), sopts);
   bool done = false;
   driver.Run([&] { done = true; });
   cluster.RunUntil([&] { return done; }, Minutes(30));
@@ -55,20 +54,20 @@ void RunOne(const char* label, const char* key, QuorumConfig q,
   report->AttachSnapshot(prefix + ".cluster", cluster.metrics()->Snapshot());
 }
 
-void Run(int sim_shards) {
+void Run() {
   PrintHeader("Ablation: quorum width under a slow storage node",
               "§2.1/§3.1 (the 4/6 design point)");
   printf("%-26s %10s %12s %12s %10s\n", "config", "writes/s",
          "commit p50", "commit p99", "retries");
   BenchReport report("ablation_quorum");
   RunOne("4/6 (Aurora), healthy", "aurora_healthy", QuorumConfig::Aurora(), 1,
-         sim_shards, &report);
+         &report);
   RunOne("4/6 (Aurora), 1 slow 20x", "aurora_slow20x", QuorumConfig::Aurora(),
-         20, sim_shards, &report);
+         20, &report);
   RunOne("6/6 (all-replica), healthy", "allreplica_healthy",
-         QuorumConfig{6, 6, 1}, 1, sim_shards, &report);
+         QuorumConfig{6, 6, 1}, 1, &report);
   RunOne("6/6 (all-replica), slow", "allreplica_slow20x",
-         QuorumConfig{6, 6, 1}, 20, sim_shards, &report);
+         QuorumConfig{6, 6, 1}, 20, &report);
   printf("\nExpected shape: 4/6 is insensitive to the slow node; 6/6\n");
   printf("inherits the slowest replica's latency into every commit.\n");
   report.Write();
@@ -77,7 +76,7 @@ void Run(int sim_shards) {
 }  // namespace
 }  // namespace aurora::bench
 
-int main(int argc, char** argv) {
-  aurora::bench::Run(aurora::bench::ParseSimShards(argc, argv));
+int main() {
+  aurora::bench::Run();
   return 0;
 }

@@ -12,9 +12,8 @@ namespace aurora::bench {
 namespace {
 
 void RunOne(const char* label, const char* key, bool yield_enabled,
-            int sim_shards, BenchReport* report) {
+            BenchReport* report) {
   ClusterOptions copts = StandardAuroraOptions();
-  copts.sim_shards = sim_shards;
   // Constrain storage devices so background work genuinely competes with
   // foreground batch persistence.
   copts.storage.disk.max_iops = 1200;
@@ -40,7 +39,7 @@ void RunOne(const char* label, const char* key, bool yield_enabled,
   sopts.connections = 32;
   sopts.duration = Seconds(2);
   sopts.warmup = Millis(300);
-  SysbenchDriver driver(cluster.writer_loop(), &client, (*layout)->anchor(), sopts);
+  SysbenchDriver driver(cluster.loop(), &client, (*layout)->anchor(), sopts);
   bool done = false;
   driver.Run([&] { done = true; });
   cluster.RunUntil([&] { return done; }, Minutes(30));
@@ -68,15 +67,15 @@ void RunOne(const char* label, const char* key, bool yield_enabled,
   report->AttachSnapshot(prefix + ".cluster", cluster.metrics()->Snapshot());
 }
 
-void Run(int sim_shards) {
+void Run() {
   PrintHeader(
       "Ablation: background work yields to foreground (storage pipeline)",
       "§3.3 / Figure 4");
   printf("%-22s %10s %12s %12s %11s %11s\n", "config", "writes/s",
          "commit p50", "commit p99", "deferrals", "coalesced");
   BenchReport report("ablation_storage_pipeline");
-  RunOne("yield (Aurora)", "yield", true, sim_shards, &report);
-  RunOne("always-run (naive)", "always_run", false, sim_shards, &report);
+  RunOne("yield (Aurora)", "yield", true, &report);
+  RunOne("always-run (naive)", "always_run", false, &report);
   printf("\nExpected shape: with the yield, foreground commit tail is\n");
   printf("tighter; the naive node burns disk on coalescing while the\n");
   printf("foreground queue builds (the positive-correlation trap of\n");
@@ -87,7 +86,7 @@ void Run(int sim_shards) {
 }  // namespace
 }  // namespace aurora::bench
 
-int main(int argc, char** argv) {
-  aurora::bench::Run(aurora::bench::ParseSimShards(argc, argv));
+int main() {
+  aurora::bench::Run();
   return 0;
 }

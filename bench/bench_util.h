@@ -91,12 +91,9 @@ inline AuroraRun RunAuroraSysbench(ClusterOptions copts, SysbenchOptions sopts,
   sopts.table_rows = rows;
   sopts.value_size = kRowBytes;
   AuroraClient client(run.cluster->writer());
-  SysbenchDriver driver(run.cluster->writer_loop(), &client, run.table, sopts);
+  SysbenchDriver driver(run.cluster->loop(), &client, run.table, sopts);
   if (window_interval > 0) {
-    // Timers on the control shard: window snapshots need a consistent
-    // global cut under multi-worker execution.
-    driver.EnableIntervalMetrics(run.cluster->metrics(), window_interval,
-                                 run.cluster->loop()->control());
+    driver.EnableIntervalMetrics(run.cluster->metrics(), window_interval);
   }
   bool done = false;
   driver.Run([&] { done = true; });
@@ -138,10 +135,9 @@ inline MysqlRun RunMysqlSysbench(MysqlClusterOptions copts,
   sopts.table_rows = rows;
   sopts.value_size = kRowBytes;
   MysqlClient client(run.cluster->db());
-  SysbenchDriver driver(run.cluster->writer_loop(), &client, run.table, sopts);
+  SysbenchDriver driver(run.cluster->loop(), &client, run.table, sopts);
   if (window_interval > 0) {
-    driver.EnableIntervalMetrics(run.cluster->metrics(), window_interval,
-                                 run.cluster->loop()->control());
+    driver.EnableIntervalMetrics(run.cluster->metrics(), window_interval);
   }
   bool done = false;
   driver.Run([&] { done = true; });
@@ -256,23 +252,6 @@ class BenchReport {
   std::vector<std::pair<std::string, const MetricsRegistry*>> attached_;
   std::vector<std::pair<std::string, MetricsSnapshot>> snapshots_;
 };
-
-/// Parses "--sim_shards=N" from a bench's argv (any position; first match
-/// wins). N is the PDES worker-thread count for every cluster the bench
-/// builds — purely an execution knob, results are byte-identical across
-/// values (see DESIGN.md §11).
-inline int ParseSimShards(int argc, char** argv, int def = 1) {
-  for (int i = 1; i < argc; ++i) {
-    int n = 0;
-    if (sscanf(argv[i], "--sim_shards=%d", &n) == 1 && n >= 1) return n;
-  }
-  const char* env = getenv("AURORA_SIM_SHARDS");
-  if (env != nullptr) {
-    int n = atoi(env);
-    if (n >= 1) return n;
-  }
-  return def;
-}
 
 }  // namespace aurora::bench
 

@@ -32,7 +32,7 @@ void Run() {
   sopts.connections = 16;
   sopts.duration = Seconds(4);
   sopts.warmup = Millis(200);
-  SysbenchDriver driver(cluster.writer_loop(), &client, (*layout)->anchor(), sopts);
+  SysbenchDriver driver(cluster.loop(), &client, (*layout)->anchor(), sopts);
   bool done = false;
   driver.Run([&] { done = true; });
 

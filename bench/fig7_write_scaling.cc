@@ -4,7 +4,6 @@
 
 #include <chrono>
 #include <cstdio>
-
 #include <string>
 
 #include "bench/bench_util.h"
@@ -22,11 +21,9 @@ std::string MetricName(const std::string& instance) {
   return out;
 }
 
-void Run(int sim_shards) {
+void Run() {
   PrintHeader("Figure 7: write-only statements/sec vs instance size",
               "Figure 7 (SysBench write-only, 1GB, §6.1.1)");
-  printf("sim_shards=%d (PDES worker threads; results are shard-count\n"
-         "invariant, only wall-clock changes)\n\n", sim_shards);
 
   const sim::InstanceOptions sizes[] = {sim::R3Large(), sim::R3XLarge(),
                                         sim::R32XLarge(), sim::R34XLarge(),
@@ -36,19 +33,11 @@ void Run(int sim_shards) {
   // cache-resident, as in the paper's 1GB configuration).
   const uint64_t rows = RowsForGb(10);
 
-  // Shard sweeps write distinct JSONs so CI can archive the wall-clock
-  // comparison side by side.
-  std::string report_name = "fig7_write_scaling";
-  if (sim_shards > 1) {
-    report_name += "_shards" + std::to_string(sim_shards);
-  }
-  BenchReport report(report_name);
-  report.Result("sim_shards", sim_shards);
+  BenchReport report("fig7_write_scaling");
   AuroraRun last_aurora;  // largest instance, kept alive for the dump
   MysqlRun last_mysql;
 
   const auto wall_start = std::chrono::steady_clock::now();
-  uint64_t stall_us = 0, horizon_syncs = 0, mailbox_msgs = 0;
 
   printf("%-12s %6s %17s %17s\n", "instance", "vcpus", "aurora writes/s",
          "mysql writes/s");
@@ -61,7 +50,6 @@ void Run(int sim_shards) {
 
     ClusterOptions aopts = StandardAuroraOptions();
     aopts.writer_instance = inst;
-    aopts.sim_shards = sim_shards;
     // Interval windows on the largest instance only (keeps the JSON small).
     const SimDuration window =
         inst.vcpus == sim::R38XLarge().vcpus ? Millis(300) : 0;
@@ -69,7 +57,6 @@ void Run(int sim_shards) {
 
     MysqlClusterOptions mopts = StandardMysqlOptions();
     mopts.instance = inst;
-    mopts.sim_shards = sim_shards;
     mopts.mysql.cpu_contention_per_connection_us = 0.3;
     MysqlRun mysql = RunMysqlSysbench(mopts, sopts, rows);
 
@@ -81,14 +68,6 @@ void Run(int sim_shards) {
                   aurora.results.writes_per_sec());
     report.Result("mysql." + key + ".writes_per_sec",
                   mysql.results.writes_per_sec());
-    if (aurora.cluster != nullptr) {
-      stall_us += aurora.cluster->loop()->stall_wall_us();
-      horizon_syncs += aurora.cluster->loop()->horizon_syncs();
-      mailbox_msgs += aurora.cluster->loop()->mailbox_msgs();
-    }
-    if (mysql.cluster != nullptr) {
-      stall_us += mysql.cluster->loop()->stall_wall_us();
-    }
     if (!aurora.windows.empty()) {
       report.AttachWindows("aurora." + key + ".windows", aurora.windows);
     }
@@ -99,14 +78,10 @@ void Run(int sim_shards) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  printf("\nsweep wall-clock: %.2f s at sim_shards=%d\n", wall_sec,
-         sim_shards);
-  // Wall-clock and PDES coordination costs are machine-dependent — they go
-  // in the bench JSON (this file), never in the deterministic registry.
+  printf("\nsweep wall-clock: %.2f s\n", wall_sec);
+  // Wall-clock is machine-dependent — it goes in the bench JSON (this
+  // file), never in the deterministic registry.
   report.Result("wall_clock_sec", wall_sec);
-  report.Result("pdes.stall_wall_us", static_cast<double>(stall_us));
-  report.Result("pdes.horizon_syncs", static_cast<double>(horizon_syncs));
-  report.Result("pdes.mailbox_msgs", static_cast<double>(mailbox_msgs));
   // Full cluster dumps for the largest instance: the Aurora side carries
   // the write fan-out accounting (engine.writer.batch_encode_bytes_saved,
   // network totals), the MySQL side the chain-write counters
@@ -124,7 +99,7 @@ void Run(int sim_shards) {
 }  // namespace
 }  // namespace aurora::bench
 
-int main(int argc, char** argv) {
-  aurora::bench::Run(aurora::bench::ParseSimShards(argc, argv));
+int main() {
+  aurora::bench::Run();
   return 0;
 }

@@ -10,7 +10,7 @@
 namespace aurora::bench {
 namespace {
 
-void Run(int sim_shards) {
+void Run() {
   PrintHeader("Figure 9: SELECT latency P50 vs P95 (migration)",
               "Figure 9 (§6.2.2)");
 
@@ -35,13 +35,11 @@ void Run(int sim_shards) {
 
   MysqlClusterOptions mopts = StandardMysqlOptions();
   mopts.mysql.engine.buffer_pool_pages = 400;
-  mopts.sim_shards = sim_shards;
   MysqlRun before = RunMysqlSysbench(mopts, sopts, rows);
   const Histogram& bm = before.cluster->db()->stats().read_latency_us;
 
   ClusterOptions aopts = StandardAuroraOptions();
   aopts.engine.buffer_pool_pages = 400;
-  aopts.sim_shards = sim_shards;
   AuroraRun after = RunAuroraSysbench(aopts, sopts, rows);
   const Histogram& am = after.cluster->writer()->stats().read_latency_us;
 
@@ -53,12 +51,7 @@ void Run(int sim_shards) {
   printf("%-22s %12.2f %12.2f %11.1fx\n", "Aurora (after)",
          ToMillis(am.P50()), ToMillis(am.P95()),
          am.P50() ? static_cast<double>(am.P95()) / am.P50() : 0);
-  std::string report_name = "fig9_select_latency";
-  if (sim_shards > 1) {
-    report_name += "_shards" + std::to_string(sim_shards);
-  }
-  BenchReport report(report_name);
-  report.Result("sim_shards", sim_shards);
+  BenchReport report("fig9_select_latency");
   report.Result("mysql.read_p50_ms", ToMillis(bm.P50()));
   report.Result("mysql.read_p95_ms", ToMillis(bm.P95()));
   report.Result("aurora.read_p50_ms", ToMillis(am.P50()));
@@ -81,7 +74,7 @@ void Run(int sim_shards) {
 }  // namespace
 }  // namespace aurora::bench
 
-int main(int argc, char** argv) {
-  aurora::bench::Run(aurora::bench::ParseSimShards(argc, argv));
+int main() {
+  aurora::bench::Run();
   return 0;
 }

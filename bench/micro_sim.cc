@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,7 +16,6 @@
 #include "common/random.h"
 #include "sim/event_loop.h"
 #include "sim/network.h"
-#include "sim/sharded_loop.h"
 #include "sim/topology.h"
 
 namespace aurora::sim {
@@ -102,99 +100,6 @@ void BM_NetworkSendDeliver(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSendDeliver)->Arg(0)->Arg(1);
 
-/// A self-rescheduling event chain pinned to one shard; every 8th fire it
-/// mails the next shard (the ~10% cross-shard traffic ratio of an AZ-placed
-/// cluster, where most events are node-local timers and disk completions).
-struct ShardChain {
-  ShardedEventLoop* loop;
-  uint32_t shard;
-  uint64_t fires = 0;
-};
-
-void ChainFire(ShardChain* c) {
-  ++c->fires;
-  EventLoop* l = c->loop->shard(c->shard);
-  if (c->fires % 8 == 0) {
-    const uint32_t dst = (c->shard + 1) % c->loop->num_shards();
-    c->loop->Mail(c->shard, dst, l->now() + c->loop->lookahead(), [] {});
-  }
-  l->Schedule(10, [c] { ChainFire(c); });
-}
-
-/// Windowed-BSP throughput of the sharded kernel: 4 shards each running 16
-/// event chains, executed with `range(0)` worker threads. Items/sec is
-/// events dispatched across all shards — the number that must scale with
-/// workers for `--sim_shards` to pay off (wall-clock only; the event
-/// sequence itself is byte-identical at any worker count).
-void BM_ShardedEventLoopWindow(benchmark::State& state) {
-  constexpr uint32_t kShards = 4;
-  constexpr int kChainsPerShard = 16;
-  ShardedEventLoop loop(kShards);
-  loop.set_lookahead(50);
-  loop.set_workers(static_cast<uint32_t>(state.range(0)));
-  std::vector<std::unique_ptr<ShardChain>> chains;
-  for (uint32_t s = 0; s < kShards; ++s) {
-    for (int i = 0; i < kChainsPerShard; ++i) {
-      chains.push_back(std::make_unique<ShardChain>(ShardChain{&loop, s}));
-      ChainFire(chains.back().get());
-    }
-  }
-  uint64_t executed = 0;
-  for (auto _ : state) {
-    const uint64_t before = loop.events_executed();
-    loop.RunFor(10000);
-    executed += loop.events_executed() - before;
-  }
-  benchmark::DoNotOptimize(executed);
-  state.SetItemsProcessed(static_cast<int64_t>(executed));
-}
-BENCHMARK(BM_ShardedEventLoopWindow)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-/// A token that hops shard-to-shard through the mailbox on every delivery:
-/// the worst case for the conservative protocol (all traffic cross-shard,
-/// every window at the lookahead floor).
-struct MailToken {
-  ShardedEventLoop* loop;
-  uint32_t shard;
-};
-
-void TokenHop(MailToken* t) {
-  const uint32_t src = t->shard;
-  t->shard = (src + 1) % t->loop->num_shards();
-  const SimTime at = t->loop->shard(src)->now() + t->loop->lookahead();
-  t->loop->Mail(src, t->shard, at, [t] { TokenHop(t); });
-}
-
-/// Cross-shard Mail throughput under `range(0)` workers: 64 tokens on a
-/// 4-shard ring. Items/sec is mailbox messages routed (stage, merge,
-/// admit) — the coordination overhead ceiling of the PDES design.
-void BM_ShardedEventLoopCrossShardMail(benchmark::State& state) {
-  constexpr uint32_t kShards = 4;
-  constexpr int kTokens = 64;
-  ShardedEventLoop loop(kShards);
-  loop.set_lookahead(20);
-  loop.set_workers(static_cast<uint32_t>(state.range(0)));
-  std::vector<std::unique_ptr<MailToken>> tokens;
-  for (int i = 0; i < kTokens; ++i) {
-    tokens.push_back(std::make_unique<MailToken>(
-        MailToken{&loop, static_cast<uint32_t>(i) % kShards}));
-    TokenHop(tokens.back().get());
-  }
-  uint64_t mailed = 0;
-  for (auto _ : state) {
-    const uint64_t before = loop.mailbox_msgs();
-    loop.RunFor(10000);
-    mailed += loop.mailbox_msgs() - before;
-  }
-  benchmark::DoNotOptimize(mailed);
-  state.SetItemsProcessed(static_cast<int64_t>(mailed));
-}
-BENCHMARK(BM_ShardedEventLoopCrossShardMail)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime();
-
 }  // namespace
 }  // namespace aurora::sim
 
@@ -228,25 +133,12 @@ class CaptureReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Accept and strip --sim_shards=N so the CI harness can pass it to every
-  // bench uniformly; here it only suffixes the report name (the
-  // BM_ShardedEventLoop* entries sweep worker counts via their Args).
-  const int sim_shards = aurora::bench::ParseSimShards(argc, argv);
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (strncmp(argv[i], "--sim_shards=", 13) != 0) argv[kept++] = argv[i];
-  }
-  argc = kept;
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   CaptureReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
-  std::string report_name = "micro_sim";
-  if (sim_shards > 1) {
-    report_name += "_shards" + std::to_string(sim_shards);
-  }
-  aurora::bench::BenchReport report(report_name);
+  aurora::bench::BenchReport report("micro_sim");
   double schedule_run_ips = 0;
   for (const auto& c : reporter.captured) {
     report.Result(c.name + ".real_time_ns", c.real_time_ns);

@@ -18,7 +18,7 @@
 namespace aurora::bench {
 namespace {
 
-void Run(int sim_shards) {
+void Run() {
   PrintHeader("Table 2: SysBench write-only writes/sec vs DB size",
               "Table 2 (§6.1.2)");
 
@@ -44,9 +44,7 @@ void Run(int sim_shards) {
     const uint64_t rows = RowsForGb(p.gb);
 
     ClusterOptions aopts = StandardAuroraOptions();
-    aopts.sim_shards = sim_shards;
     MysqlClusterOptions mopts = StandardMysqlOptions();
-    mopts.sim_shards = sim_shards;
     AuroraRun aurora = RunAuroraSysbench(aopts, sopts, rows);
     MysqlRun mysql = RunMysqlSysbench(mopts, sopts, rows);
 
@@ -75,7 +73,7 @@ void Run(int sim_shards) {
 }  // namespace
 }  // namespace aurora::bench
 
-int main(int argc, char** argv) {
-  aurora::bench::Run(aurora::bench::ParseSimShards(argc, argv));
+int main() {
+  aurora::bench::Run();
   return 0;
 }

@@ -23,7 +23,7 @@
 namespace aurora::bench {
 namespace {
 
-void Run(int sim_shards) {
+void Run() {
   PrintHeader("Table 3: SysBench OLTP writes/sec vs connections",
               "Table 3 (§6.1.3), extended past 20,000 connections");
 
@@ -31,7 +31,6 @@ void Run(int sim_shards) {
   const int kMysqlMaxConns = 5000;
 
   BenchReport report("table3_connections");
-  report.Result("sim_shards", sim_shards);
 
   printf("%-12s %16s %14s\n", "Connections", "Aurora writes/s",
          "MySQL writes/s");
@@ -54,7 +53,6 @@ void Run(int sim_shards) {
     sopts.warmup = Millis(500);
 
     ClusterOptions aopts = StandardAuroraOptions();
-    aopts.sim_shards = sim_shards;
     // Interval windows on the largest point: the JSON carries a time series
     // of the whole registry across the measured second.
     const SimDuration window = c == conns[4] ? Millis(250) : 0;
@@ -75,7 +73,6 @@ void Run(int sim_shards) {
 
     if (c <= kMysqlMaxConns) {
       MysqlClusterOptions mopts = StandardMysqlOptions();
-      mopts.sim_shards = sim_shards;
       // Per-statement penalty growing with open connections: the documented
       // model of MySQL's contention collapse (DESIGN.md).
       mopts.mysql.cpu_contention_per_connection_us = 0.05;
@@ -99,7 +96,7 @@ void Run(int sim_shards) {
 }  // namespace
 }  // namespace aurora::bench
 
-int main(int argc, char** argv) {
-  aurora::bench::Run(aurora::bench::ParseSimShards(argc, argv));
+int main() {
+  aurora::bench::Run();
   return 0;
 }

@@ -46,7 +46,7 @@ double RunTpcc(Cluster* cluster, Client* client, const Config& cfg) {
   topts.stock_items = 200;
   topts.duration = Seconds(3);
   topts.warmup = Millis(500);
-  TpccDriver driver(cluster->writer_loop(), client, tables, topts);
+  TpccDriver driver(cluster->loop(), client, tables, topts);
   bool loaded = false;
   Status ls = Status::TimedOut("load");
   driver.Load([&](Status s) {
@@ -64,7 +64,7 @@ double RunTpcc(Cluster* cluster, Client* client, const Config& cfg) {
   return driver.results().tpmC();
 }
 
-void Run(int sim_shards) {
+void Run() {
   PrintHeader("Table 5: Percona TPC-C variant (tpmC)", "Table 5 (§6.1.5)");
 
   // Warehouse counts scaled 1/10 (contention intensity preserved by also
@@ -78,14 +78,12 @@ void Run(int sim_shards) {
   printf("%-22s %12s %12s\n", "Connections/Size/WH", "Aurora", "MySQL 5.6");
   for (const Config& cfg : configs) {
     ClusterOptions aopts = StandardAuroraOptions();
-    aopts.sim_shards = sim_shards;
     AuroraCluster aurora(aopts);
     if (!aurora.BootstrapSync().ok()) continue;
     AuroraClient aclient(aurora.writer());
     double a_tpmc = RunTpcc(&aurora, &aclient, cfg);
 
     MysqlClusterOptions mopts = StandardMysqlOptions();
-    mopts.sim_shards = sim_shards;
     mopts.mysql.cpu_contention_per_connection_us = 0.05;
     MysqlCluster mysql(mopts);
     if (!mysql.BootstrapSync().ok()) continue;
@@ -111,7 +109,7 @@ void Run(int sim_shards) {
 }  // namespace
 }  // namespace aurora::bench
 
-int main(int argc, char** argv) {
-  aurora::bench::Run(aurora::bench::ParseSimShards(argc, argv));
+int main() {
+  aurora::bench::Run();
   return 0;
 }

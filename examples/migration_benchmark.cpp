@@ -61,7 +61,7 @@ int main() {
   auto mysql_table =
       AttachSyntheticTableMysql(&mysql, &mysql_catalog, "app", rows, 100);
   MysqlClient mysql_client(mysql.db());
-  SysbenchDriver before(mysql.writer_loop(), &mysql_client, (*mysql_table)->anchor(),
+  SysbenchDriver before(mysql.loop(), &mysql_client, (*mysql_table)->anchor(),
                         WebWorkload());
   bool before_done = false;
   before.Run([&] { before_done = true; });
@@ -77,7 +77,7 @@ int main() {
   auto aurora_table =
       AttachSyntheticTable(&aurora, &aurora_catalog, "app", rows, 100);
   AuroraClient aurora_client(aurora.writer());
-  SysbenchDriver after(aurora.writer_loop(), &aurora_client,
+  SysbenchDriver after(aurora.loop(), &aurora_client,
                        (*aurora_table)->anchor(), WebWorkload());
   bool after_done = false;
   after.Run([&] { after_done = true; });

@@ -256,9 +256,8 @@ void MirroredMySql::FinishWalFlush(Lsn flushed_through) {
                [this, key = std::string(key), for_s3 = std::move(for_s3),
                 complete = std::move(complete)](Status s) mutable {
                  if (s3_ != nullptr) {
-                   // Completion on this engine's own loop (S3 is shared).
                    s3_->Put("binlog-archive/" + key, std::move(for_s3),
-                            [](Status) {}, loop_);
+                            [](Status) {});
                  }
                  complete(s);
                });

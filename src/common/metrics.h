@@ -102,12 +102,10 @@ class MetricsRegistry {
   std::string ToJson() const { return Snapshot().ToJson(); }
 
  private:
-  // PDES prep (DESIGN.md §10.4): the registry is the first structure that
-  // stays shared once the event loop shards — every partition registers and
-  // snapshots through one instance. Registration/snapshot are cold paths
-  // (component setup, bench teardown), so a plain mutex is fine; the
-  // annotations let Clang's -Wthread-safety prove no unguarded access ever
-  // lands as partitions are introduced.
+  // Registration and snapshot are cold paths (component setup, bench
+  // teardown), so a plain mutex costs nothing; it keeps a snapshot taken
+  // from a harness thread other than the simulation's safe, and the
+  // annotations let Clang's -Wthread-safety prove every access is guarded.
   mutable Mutex mu_;
   std::map<std::string, CounterFn> counters_ GUARDED_BY(mu_);
   std::map<std::string, GaugeFn> gauges_ GUARDED_BY(mu_);

@@ -3,8 +3,8 @@
 
 #include <mutex>
 
-/// Clang thread-safety-analysis annotations for the structures the PDES
-/// work will contend on (DESIGN.md §10.4). Under Clang with
+/// Clang thread-safety-analysis annotations for the few structures that may
+/// be shared across threads (today: MetricsRegistry). Under Clang with
 /// `-Wthread-safety` (the CI lint job) the compiler statically proves that
 /// every access to a `GUARDED_BY(mu)` member happens while `mu` is held;
 /// GCC compiles the attributes away to nothing.
@@ -15,9 +15,9 @@
 ///  - methods that require the caller to hold the lock are annotated
 ///    `REQUIRES(mu_)`; public methods take the lock themselves with
 ///    `aurora::MutexLock lock(&mu_);`
-///  - single-threaded-by-design state (everything owned by one EventLoop
-///    shard) stays unannotated — annotations mark the *shared* surface,
-///    which is exactly what must stay small for conservative PDES.
+///  - single-threaded-by-design state (everything driven by a cluster's one
+///    EventLoop) stays unannotated — annotations mark the *shared* surface,
+///    which must stay small.
 
 #if defined(__clang__)
 #define AURORA_THREAD_ANNOTATION(x) __attribute__((x))

@@ -5,55 +5,45 @@
 namespace aurora {
 
 AuroraCluster::AuroraCluster(ClusterOptions options)
-    : options_(options),
-      loop_(static_cast<uint32_t>(options.num_azs)),
-      topology_(options.num_azs) {
-  loop_.set_workers(static_cast<uint32_t>(
-      options_.sim_shards < 1 ? 1 : options_.sim_shards));
+    : options_(options), topology_(options.num_azs) {
   Random rng(options_.seed);
-  // The network's fallback loop and every global actor (S3 completions by
-  // default, failure injector, repair manager) live on the control shard:
-  // they observe and mutate the whole cluster, so they must run at barriers
-  // with every shard quiesced.
-  network_ = std::make_unique<sim::Network>(loop_.control(), &topology_,
+  network_ = std::make_unique<sim::Network>(&loop_, &topology_,
                                             options_.fabric, rng.Fork());
   control_plane_ = std::make_unique<ControlPlane>(&topology_, rng.Fork());
-  s3_ = std::make_unique<SimS3>(loop_.control(), SimS3::Options{}, rng.Fork());
-  injector_ = std::make_unique<sim::FailureInjector>(
-      loop_.control(), network_.get(), &topology_, rng.Fork());
+  s3_ = std::make_unique<SimS3>(&loop_, SimS3::Options{}, rng.Fork());
+  injector_ = std::make_unique<sim::FailureInjector>(&loop_, network_.get(),
+                                                     &topology_, rng.Fork());
 
-  // Writer instance in AZ 0, homed on AZ 0's shard.
+  // Writer instance in AZ 0.
   writer_node_ = topology_.AddNode(0, "writer");
   writer_instance_ =
-      std::make_unique<sim::Instance>(loop_.shard(0), options_.writer_instance);
-  writer_ = std::make_unique<Database>(loop_.shard(0), network_.get(),
-                                       writer_node_, writer_instance_.get(),
-                                       control_plane_.get(), options_.engine,
-                                       rng.Fork());
+      std::make_unique<sim::Instance>(&loop_, options_.writer_instance);
+  writer_ = std::make_unique<Database>(
+      &loop_, network_.get(), writer_node_, writer_instance_.get(),
+      control_plane_.get(), options_.engine, rng.Fork());
 
-  // Read replicas spread across AZs (§4.2.4 allows up to 15); each is homed
-  // on its AZ's shard.
+  // Read replicas spread across AZs (§4.2.4 allows up to 15).
   for (int i = 0; i < options_.num_replicas; ++i) {
     sim::AzId az = static_cast<sim::AzId>((i + 1) % options_.num_azs);
     sim::NodeId node = topology_.AddNode(az, "replica-" + std::to_string(i));
-    replica_instances_.push_back(std::make_unique<sim::Instance>(
-        loop_.shard(az), options_.replica_instance));
+    replica_instances_.push_back(
+        std::make_unique<sim::Instance>(&loop_, options_.replica_instance));
     auto replica = std::make_unique<ReadReplica>(
-        loop_.shard(az), network_.get(), node, replica_instances_.back().get(),
+        &loop_, network_.get(), node, replica_instances_.back().get(),
         control_plane_.get(), writer_node_, options_.engine, rng.Fork());
     writer_->AttachReplica(node);
     replicas_.push_back(std::move(replica));
   }
 
-  // Storage fleet: N hosts per AZ, each homed on its AZ's shard.
+  // Storage fleet: N hosts per AZ.
   for (int az = 0; az < options_.num_azs; ++az) {
     for (int i = 0; i < options_.storage_nodes_per_az; ++i) {
       sim::NodeId node = topology_.AddNode(
           static_cast<sim::AzId>(az),
           "storage-az" + std::to_string(az) + "-" + std::to_string(i));
       auto sn = std::make_unique<StorageNode>(
-          loop_.shard(static_cast<uint32_t>(az)), network_.get(), node,
-          control_plane_.get(), s3_.get(), options_.storage, rng.Fork());
+          &loop_, network_.get(), node, control_plane_.get(), s3_.get(),
+          options_.storage, rng.Fork());
       control_plane_->RegisterStorageNode(node, sn.get());
       StorageNode* raw = sn.get();
       injector_->RegisterNode(node, {[raw] { raw->Crash(); },
@@ -62,18 +52,12 @@ AuroraCluster::AuroraCluster(ClusterOptions options)
     }
   }
 
-  // Topology is complete: shard placement is node -> home AZ, and the fabric
-  // derives the PDES lookahead from the minimum cross-shard latency.
-  {
-    std::vector<uint32_t> shard_of(topology_.num_nodes());
-    for (sim::NodeId n = 0; n < topology_.num_nodes(); ++n) {
-      shard_of[n] = static_cast<uint32_t>(topology_.az_of(n));
-    }
-    network_->InstallShardRouting(&loop_, std::move(shard_of));
-  }
+  // Topology is complete: one RNG stream per node, so each node's jitter and
+  // adversary draws depend only on its own sends.
+  network_->ForkNodeRngStreams(topology_.num_nodes());
 
   repair_ = std::make_unique<RepairManager>(
-      loop_.control(), network_.get(), &topology_, control_plane_.get(),
+      &loop_, network_.get(), &topology_, control_plane_.get(),
       options_.repair, rng.Fork());
   if (options_.start_repair_manager) repair_->Start();
 
@@ -356,19 +340,16 @@ void AuroraCluster::RegisterAllMetrics() {
                        [net] { return net->total().bytes_sent; });
     m->RegisterCounter("net.total.messages_dropped",
                        [net] { return net->total().messages_dropped; });
-    m->RegisterCounter("net.adversary.duplicates_injected", [net] {
-      return net->adversary().duplicates_injected.load();
-    });
+    m->RegisterCounter("net.adversary.duplicates_injected",
+                       [net] { return net->adversary().duplicates_injected; });
     m->RegisterCounter("net.adversary.reordered",
-                       [net] { return net->adversary().reordered.load(); });
-    m->RegisterCounter("net.adversary.corrupted_injected", [net] {
-      return net->adversary().corrupted_injected.load();
-    });
-    m->RegisterCounter("net.adversary.corrupted_dropped", [net] {
-      return net->adversary().corrupted_dropped.load();
-    });
+                       [net] { return net->adversary().reordered; });
+    m->RegisterCounter("net.adversary.corrupted_injected",
+                       [net] { return net->adversary().corrupted_injected; });
+    m->RegisterCounter("net.adversary.corrupted_dropped",
+                       [net] { return net->adversary().corrupted_dropped; });
     m->RegisterCounter("net.adversary.oneway_blocked",
-                       [net] { return net->adversary().oneway_blocked.load(); });
+                       [net] { return net->adversary().oneway_blocked; });
     for (sim::NodeId n = 0; n < topology_.num_nodes(); ++n) {
       const std::string base = "net." + topology_.name_of(n) + ".";
       m->RegisterCounter(base + "messages_sent",
@@ -434,27 +415,6 @@ void AuroraCluster::RegisterAllMetrics() {
                      [this] { return loop_.tombstones(); });
   m->RegisterCounter("sim.loop.heap_peak",
                      [this] { return static_cast<uint64_t>(loop_.heap_peak()); });
-
-  // --- PDES coordinator (DESIGN.md §11) -----------------------------------
-  // Per logical shard plus coordinator totals. All deterministic: functions
-  // of the partition and the event set, never of the worker-thread count.
-  // (Barrier stall wall-clock is intentionally absent — it is measured per
-  // run and belongs in bench JSON, not in a deterministic dump.)
-  for (uint32_t s = 0; s < loop_.num_shards(); ++s) {
-    const std::string base = "sim.loop.shard" + std::to_string(s) + ".";
-    sim::EventLoop* shard = loop_.shard(s);
-    m->RegisterCounter(base + "events_executed",
-                       [shard] { return shard->events_executed(); });
-    m->RegisterCounter(base + "tombstones",
-                       [shard] { return shard->tombstones(); });
-    m->RegisterCounter(base + "heap_peak", [shard] {
-      return static_cast<uint64_t>(shard->heap_peak());
-    });
-  }
-  m->RegisterCounter("sim.pdes.horizon_syncs",
-                     [this] { return loop_.horizon_syncs(); });
-  m->RegisterCounter("sim.pdes.mailbox_msgs",
-                     [this] { return loop_.mailbox_msgs(); });
 }
 
 void AuroraCluster::EnsurePgMetricsRegistered() {
@@ -536,10 +496,9 @@ Status AuroraCluster::FailoverToReplicaSync(size_t i) {
   replicas_[i]->Crash();
   sim::Instance* instance = replica_instances_[i].get();
   Random rng(options_.seed ^ (0x9E3779B97F4A7C15ull + i));
-  // The promoted engine stays homed on its host's AZ shard.
-  auto promoted = std::make_unique<Database>(
-      loop_.shard(topology_.az_of(node)), network_.get(), node, instance,
-      control_plane_.get(), options_.engine, rng.Fork());
+  auto promoted = std::make_unique<Database>(&loop_, network_.get(), node,
+                                             instance, control_plane_.get(),
+                                             options_.engine, rng.Fork());
   // Surviving replicas follow the new writer.
   for (size_t r = 0; r < replicas_.size(); ++r) {
     if (r == i) continue;
@@ -565,9 +524,9 @@ Status AuroraCluster::PromoteReplicaSync(size_t i) {
   replicas_[i]->Crash();
   sim::Instance* instance = replica_instances_[i].get();
   Random rng(options_.seed ^ (0xC2B2AE3D27D4EB4Full + i));
-  auto promoted = std::make_unique<Database>(
-      loop_.shard(topology_.az_of(node)), network_.get(), node, instance,
-      control_plane_.get(), options_.engine, rng.Fork());
+  auto promoted = std::make_unique<Database>(&loop_, network_.get(), node,
+                                             instance, control_plane_.get(),
+                                             options_.engine, rng.Fork());
   for (size_t r = 0; r < replicas_.size(); ++r) {
     if (r == i) continue;
     promoted->AttachReplica(replicas_[r]->node_id());

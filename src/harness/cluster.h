@@ -12,7 +12,6 @@
 #include "quorum/quorum.h"
 #include "sim/event_loop.h"
 #include "sim/failure_injector.h"
-#include "sim/sharded_loop.h"
 #include "sim/instance.h"
 #include "sim/network.h"
 #include "sim/topology.h"
@@ -49,9 +48,9 @@ struct ClusterOptions {
   RepairOptions repair;
   bool start_repair_manager = true;
   uint64_t seed = 42;
-  /// Worker threads driving the per-AZ simulation shards (PDES, DESIGN.md
-  /// §11). Purely an execution knob: results are byte-identical for any
-  /// value. 1 = serial; clamped to [1, num_azs].
+  /// Ignored: the simulator runs on one event loop (DESIGN.md §11). Kept
+  /// only because the benchmark harness under perfbench/ still sets it; the
+  /// next change to that harness deletes it.
   int sim_shards = 1;
 };
 
@@ -63,14 +62,10 @@ class AuroraCluster {
   AuroraCluster(const AuroraCluster&) = delete;
   AuroraCluster& operator=(const AuroraCluster&) = delete;
 
-  sim::ShardedEventLoop* loop() { return &loop_; }
-  /// The event loop of the shard the current writer is homed on — drivers
-  /// and client closures that call the writer engine directly must schedule
-  /// here. Re-resolve after a failover: promotion moves the writer to the
-  /// promoted replica's AZ shard.
-  sim::EventLoop* writer_loop() {
-    return loop_.shard(topology_.az_of(writer_node_));
-  }
+  /// The one event loop every component of the cluster runs on.
+  sim::EventLoop* loop() { return &loop_; }
+  /// Alias of loop(), kept for the benchmark harness under perfbench/.
+  sim::EventLoop* writer_loop() { return &loop_; }
   sim::Network* network() { return network_.get(); }
   sim::Topology* topology() { return &topology_; }
   ControlPlane* control_plane() { return control_plane_.get(); }
@@ -128,8 +123,9 @@ class AuroraCluster {
   Result<std::string> ReplicaGetSync(size_t replica, PageId table,
                                      const std::string& key);
 
-  /// Runs the loop until `pred` holds or `max` sim-time elapses; returns
-  /// whether the predicate held.
+  /// Runs the loop one event at a time until `pred` holds or `max` sim-time
+  /// elapses; returns whether the predicate held. On success the clock is
+  /// left at the event that made `pred` true.
   bool RunUntil(std::function<bool()> pred, SimDuration max);
   /// Runs the loop for a fixed duration.
   void RunFor(SimDuration d) { loop_.RunFor(d); }
@@ -157,7 +153,7 @@ class AuroraCluster {
   /// the writer grows the volume, so this runs before every dump).
   void EnsurePgMetricsRegistered();
   ClusterOptions options_;
-  sim::ShardedEventLoop loop_;
+  sim::EventLoop loop_;
   sim::Topology topology_;
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<ControlPlane> control_plane_;

@@ -3,18 +3,15 @@
 namespace aurora {
 
 MysqlCluster::MysqlCluster(MysqlClusterOptions options)
-    : options_(options), loop_(2), topology_(3) {
-  loop_.set_workers(static_cast<uint32_t>(
-      options_.sim_shards < 1 ? 1 : options_.sim_shards));
+    : options_(options), topology_(3) {
   Random rng(options_.seed);
-  network_ = std::make_unique<sim::Network>(loop_.control(), &topology_,
+  network_ = std::make_unique<sim::Network>(&loop_, &topology_,
                                             options_.fabric, rng.Fork());
-  s3_ = std::make_unique<SimS3>(loop_.control(), SimS3::Options{}, rng.Fork());
+  s3_ = std::make_unique<SimS3>(&loop_, SimS3::Options{}, rng.Fork());
 
   // Figure 2 layout: primary instance + its EBS pair in AZ 1, standby
   // instance + its EBS pair in AZ 2. The whole complex is one MirroredMySql
-  // object, so all six nodes are homed on shard 0 regardless of AZ — the
-  // PDES partition follows object ownership, not geography.
+  // object.
   db_node_ = topology_.AddNode(0, "mysql-primary");
   baseline::MirroredMySql::NodeSet nodes;
   nodes.primary_ebs = topology_.AddNode(0, "ebs-primary");
@@ -23,28 +20,24 @@ MysqlCluster::MysqlCluster(MysqlClusterOptions options)
   nodes.standby_ebs = topology_.AddNode(1, "ebs-standby");
   nodes.standby_ebs_mirror = topology_.AddNode(1, "ebs-standby-mirror");
 
-  instance_ = std::make_unique<sim::Instance>(loop_.shard(0),
-                                              options_.instance);
+  instance_ = std::make_unique<sim::Instance>(&loop_, options_.instance);
   db_ = std::make_unique<baseline::MirroredMySql>(
-      loop_.shard(0), network_.get(), db_node_, instance_.get(), s3_.get(),
+      &loop_, network_.get(), db_node_, instance_.get(), s3_.get(),
       nodes, options_.ebs_disk, options_.mysql, rng.Fork());
 
-  // Binlog replicas in AZ 3, homed on shard 1: they interact with the
-  // primary only through binlog messages over the fabric.
+  // Binlog replicas in AZ 3: they interact with the primary only through
+  // binlog messages over the fabric.
   for (int i = 0; i < options_.num_binlog_replicas; ++i) {
     sim::NodeId node = topology_.AddNode(static_cast<sim::AzId>(2),
                                          "binlog-replica-" +
                                              std::to_string(i));
     replicas_.push_back(std::make_unique<baseline::BinlogReplica>(
-        loop_.shard(1), network_.get(), node, options_.binlog_apply_cost));
+        &loop_, network_.get(), node, options_.binlog_apply_cost));
     db_->AttachBinlogReplica(node);
   }
 
-  {
-    std::vector<uint32_t> shard_of(topology_.num_nodes(), 0);
-    for (sim::NodeId n = 6; n < topology_.num_nodes(); ++n) shard_of[n] = 1;
-    network_->InstallShardRouting(&loop_, std::move(shard_of));
-  }
+  // Topology is complete: one RNG stream per node.
+  network_->ForkNodeRngStreams(topology_.num_nodes());
 
   RegisterAllMetrics();
 }
@@ -122,21 +115,6 @@ void MysqlCluster::RegisterAllMetrics() {
   m->RegisterGauge("sim.now_us", [this] {
     return static_cast<double>(loop_.now());
   });
-  for (uint32_t s = 0; s < loop_.num_shards(); ++s) {
-    const std::string base = "sim.loop.shard" + std::to_string(s) + ".";
-    sim::EventLoop* shard = loop_.shard(s);
-    m->RegisterCounter(base + "events_executed",
-                       [shard] { return shard->events_executed(); });
-    m->RegisterCounter(base + "tombstones",
-                       [shard] { return shard->tombstones(); });
-    m->RegisterCounter(base + "heap_peak", [shard] {
-      return static_cast<uint64_t>(shard->heap_peak());
-    });
-  }
-  m->RegisterCounter("sim.pdes.horizon_syncs",
-                     [this] { return loop_.horizon_syncs(); });
-  m->RegisterCounter("sim.pdes.mailbox_msgs",
-                     [this] { return loop_.mailbox_msgs(); });
 }
 
 MysqlCluster::~MysqlCluster() = default;

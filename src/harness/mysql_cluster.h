@@ -12,7 +12,6 @@
 #include "sim/event_loop.h"
 #include "sim/instance.h"
 #include "sim/network.h"
-#include "sim/sharded_loop.h"
 #include "sim/topology.h"
 #include "storage/sim_s3.h"
 
@@ -34,13 +33,6 @@ struct MysqlClusterOptions {
   /// connections (MySQL 5.6-era single-threaded replication).
   SimDuration binlog_apply_cost = Micros(800);
   uint64_t seed = 42;
-  /// Worker threads driving the simulation shards (PDES, DESIGN.md §11).
-  /// The baseline partitions by object home — shard 0 is the whole
-  /// mirrored-MySQL complex (primary + standby + EBS pairs share one
-  /// engine object), shard 1 the binlog replicas. Purely an execution
-  /// knob: results are byte-identical for any value.
-  int sim_shards = 1;
-
   MysqlClusterOptions() {
     // 30K provisioned IOPS EBS volume (§6.1) — slower per-op than local
     // NVMe, network-attached.
@@ -58,10 +50,8 @@ class MysqlCluster {
   MysqlCluster(const MysqlCluster&) = delete;
   MysqlCluster& operator=(const MysqlCluster&) = delete;
 
-  sim::ShardedEventLoop* loop() { return &loop_; }
-  /// The shard loop the MySQL engine is homed on; drivers and client
-  /// closures that call the engine directly must schedule here.
-  sim::EventLoop* writer_loop() { return loop_.shard(0); }
+  /// The one event loop every component of the baseline runs on.
+  sim::EventLoop* loop() { return &loop_; }
   sim::Network* network() { return network_.get(); }
   baseline::MirroredMySql* db() { return db_.get(); }
   sim::Instance* instance() { return instance_.get(); }
@@ -96,7 +86,7 @@ class MysqlCluster {
   void RegisterAllMetrics();
 
   MysqlClusterOptions options_;
-  sim::ShardedEventLoop loop_;
+  sim::EventLoop loop_;
   sim::Topology topology_;
   std::unique_ptr<sim::Network> network_;
   std::unique_ptr<SimS3> s3_;

@@ -118,14 +118,6 @@ void EventLoop::Run() {
   }
 }
 
-void EventLoop::RunEventsBelow(SimTime horizon) {
-  for (;;) {
-    PurgeTop();
-    if (heap_.empty() || heap_[0].time >= horizon) break;
-    RunOne();
-  }
-}
-
 void EventLoop::RunUntil(SimTime t) {
   for (;;) {
     PurgeTop();

@@ -35,26 +35,11 @@ using EventFn = InlineFunction<void(), 128>;
 /// slot; the heap entry is purged when it reaches the top. pending() counts
 /// only live events, so queue-growth regression tests keep their meaning.
 ///
-/// Under conservative PDES (DESIGN.md §11) one EventLoop becomes one shard
-/// of a ShardedEventLoop: the coordinator paces it with RunEventsBelow /
-/// AdvanceTo, and closures that must mutate state homed on other shards
-/// defer themselves to the next barrier via PostControl.
+/// One loop drives a whole cluster: every component shares it, so an event
+/// may touch any component's state directly (DESIGN.md §11 records why the
+/// simulator stays serial).
 class EventLoop {
  public:
-  /// Sentinel returned by next_event_time() when the queue is empty.
-  static constexpr SimTime kNoEvent = ~SimTime{0};
-
-  /// Sink for PostControl when this loop is a shard of a ShardedEventLoop.
-  /// Implemented by the coordinator; calls arrive on this shard's worker
-  /// thread during a window and must only stage (no cross-shard touching).
-  class CrossShardPoster {
-   public:
-    virtual void PostControl(SimTime at, EventFn fn) = 0;
-
-   protected:
-    ~CrossShardPoster() = default;
-  };
-
   EventLoop() = default;
 
   EventLoop(const EventLoop&) = delete;
@@ -86,39 +71,6 @@ class EventLoop {
 
   /// Runs events for `d` more simulated time.
   void RunFor(SimDuration d) { RunUntil(now_ + d); }
-
-  // --- PDES shard interface (driven by ShardedEventLoop) -------------------
-
-  /// Time of the earliest live event, or kNoEvent if none are pending.
-  SimTime next_event_time() {
-    PurgeTop();
-    return heap_.empty() ? kNoEvent : heap_[0].time;
-  }
-
-  /// Runs every event with time strictly below `horizon` (one PDES window).
-  /// Unlike RunUntil, the clock is left at the last executed event — the
-  /// coordinator advances it explicitly with AdvanceTo at the barrier.
-  void RunEventsBelow(SimTime horizon);
-
-  /// Advances the clock to `t` without running anything (no-op if t <= now).
-  /// Pre: no live event is scheduled before `t`.
-  void AdvanceTo(SimTime t) {
-    if (t > now_) now_ = t;
-  }
-
-  /// Defers `fn` to the control shard of the owning ShardedEventLoop: it
-  /// runs at the next barrier at or after now + delay, with every shard
-  /// quiesced, so it may freely touch state homed on any shard. On a
-  /// standalone loop (no coordinator) this is just Schedule().
-  void PostControl(SimDuration delay, EventFn fn) {
-    if (poster_ != nullptr) {
-      poster_->PostControl(now_ + delay, std::move(fn));
-    } else {
-      Schedule(delay, std::move(fn));
-    }
-  }
-
-  void set_cross_shard_poster(CrossShardPoster* poster) { poster_ = poster; }
 
   /// Number of live (scheduled, not cancelled, not yet run) events.
   size_t pending() const { return live_count_; }
@@ -162,7 +114,6 @@ class EventLoop {
   uint64_t executed_ = 0;
   uint64_t tombstones_ = 0;
   size_t heap_peak_ = 0;
-  CrossShardPoster* poster_ = nullptr;
 };
 
 }  // namespace aurora::sim

@@ -4,7 +4,6 @@
 
 #include "common/crc32c.h"
 #include "common/logging.h"
-#include "sim/sharded_loop.h"
 
 namespace aurora::sim {
 
@@ -24,49 +23,15 @@ void Network::Register(NodeId node, Handler handler) {
   handlers_[node] = std::move(handler);
 }
 
-void Network::InstallShardRouting(ShardedEventLoop* pdes,
-                                  std::vector<uint32_t> shard_of) {
-  pdes_ = pdes;
-  shard_of_node_ = std::move(shard_of);
-  const NodeId n = static_cast<NodeId>(shard_of_node_.size());
-  AURORA_CHECK(n > 0, "shard routing needs a placement map");
-  // Pre-size every per-node vector so windows never resize them: shard
-  // threads index these concurrently and only barriers may reallocate.
-  if (handlers_.size() < n) {
-    handlers_.resize(n);
-    stats_.resize(n);
-    nic_busy_until_.resize(n, 0);
-    latency_factor_.resize(n, 1.0);
-  }
+void Network::ForkNodeRngStreams(NodeId num_nodes) {
   node_rng_.clear();
-  node_rng_.reserve(n);
-  for (NodeId i = 0; i < n; ++i) node_rng_.push_back(rng_.Fork());
-
-  // Lookahead: every routed delivery is scheduled at least PropagationDelay's
-  // floor (base/4) after the send, so the minimum floor over cross-shard
-  // pairs bounds how far one shard can run ahead without missing mail.
-  SimDuration lookahead = 0;
-  for (NodeId a = 0; a < n; ++a) {
-    for (NodeId b = 0; b < n; ++b) {
-      if (shard_of_node_[a] == shard_of_node_[b]) continue;
-      SimDuration base = topology_->SameAz(a, b) ? options_.intra_az_latency
-                                                 : options_.cross_az_latency;
-      SimDuration floor = std::max<SimDuration>(1, base / 4);
-      if (lookahead == 0 || floor < lookahead) lookahead = floor;
-    }
-  }
-  pdes_->set_lookahead(lookahead == 0 ? 1 : lookahead);
-}
-
-EventLoop* Network::ContextLoop(NodeId from) {
-  if (pdes_ == nullptr) return loop_;
-  AURORA_CHECK(from < shard_of_node_.size(), "send from unplaced node");
-  return pdes_->shard(shard_of_node_[from]);
+  node_rng_.reserve(num_nodes);
+  for (NodeId i = 0; i < num_nodes; ++i) node_rng_.push_back(rng_.Fork());
 }
 
 Random& Network::RngFor(NodeId from) {
-  if (pdes_ == nullptr) return rng_;
-  AURORA_CHECK(from < node_rng_.size(), "send from unplaced node");
+  if (node_rng_.empty()) return rng_;
+  AURORA_CHECK(from < node_rng_.size(), "send from a node without a stream");
   return node_rng_[from];
 }
 
@@ -100,8 +65,8 @@ SimDuration Network::PropagationDelay(NodeId from, NodeId to) {
   auto d = static_cast<SimDuration>(static_cast<double>(base) * jitter * factor);
   // Floor at a quarter of the undisturbed base latency. With sigma 0.25 the
   // jitter binds here with probability ~2e-8 (a -5.5 sigma draw), so the
-  // latency distribution is unchanged in practice — but the floor is a hard
-  // guarantee the PDES lookahead derivation (InstallShardRouting) relies on.
+  // latency distribution is unchanged in practice, and no delivery is ever
+  // scheduled at (or before) its send time.
   return std::max<SimDuration>(d, std::max<SimDuration>(1, base / 4));
 }
 
@@ -121,11 +86,6 @@ void Network::SendImpl(NodeId from, NodeId to, uint16_t type,
   if (from >= handlers_.size()) Register(from, nullptr);
   if (to >= handlers_.size()) Register(to, nullptr);
 
-  // Under PDES routing a send runs on the source node's home shard (or at a
-  // barrier, where every clock agrees); all per-sender state below —
-  // stats_[from], nic_busy_until_[from], the per-node RNG — is therefore
-  // only ever touched from that shard's context.
-  EventLoop* ctx = ContextLoop(from);
   Random& rng = RngFor(from);
 
   const size_t wire_bytes = header.size() + (body ? body->size() : 0);
@@ -139,7 +99,7 @@ void Network::SendImpl(NodeId from, NodeId to, uint16_t type,
   // any loss decision — a message dropped in transit (or addressed to a dead
   // host) still occupied the sender's NIC, so lossy links don't grant the
   // sender free bandwidth.
-  SimTime start = std::max(ctx->now(), nic_busy_until_[from]);
+  SimTime start = std::max(loop_->now(), nic_busy_until_[from]);
   auto transmit = static_cast<SimDuration>(
       static_cast<double>(wire_bytes) / options_.node_bandwidth_bps * 1e6);
   nic_busy_until_[from] = start + transmit;
@@ -158,7 +118,7 @@ void Network::SendImpl(NodeId from, NodeId to, uint16_t type,
   msg.type = type;
   msg.header = std::move(header);
   msg.body = std::move(body);
-  msg.sent_at = ctx->now();
+  msg.sent_at = loop_->now();
   // Frame checksum, stamped before any adversarial corruption so receivers
   // can tell a mangled frame from a clean one.
   msg.frame_crc = crc32c::Value(msg.header.data(), msg.header.size());
@@ -203,13 +163,10 @@ void Network::SendImpl(NodeId from, NodeId to, uint16_t type,
 }
 
 void Network::ScheduleDelivery(SimTime at, Message msg) {
-  const NodeId from = msg.from;
-  const NodeId to = msg.to;
   // The delivery closure carries the message fragments as-is: the shared
-  // body is never copied per receiver (the refcount crossing shards is the
-  // only synchronized touch), and the whole capture fits EventFn's inline
-  // buffer (no allocation per message in steady state).
-  EventFn deliver = [this, msg = std::move(msg)]() {
+  // body is never copied per receiver, and the whole capture fits EventFn's
+  // inline buffer (no allocation per message in steady state).
+  loop_->ScheduleAt(at, [this, msg = std::move(msg)]() {
     // Re-check reachability at delivery time: a crash while the message
     // was in flight loses it.
     if (!Reachable(msg.from, msg.to)) {
@@ -221,21 +178,7 @@ void Network::ScheduleDelivery(SimTime at, Message msg) {
     if (msg.to >= handlers_.size() || !handlers_[msg.to]) return;
     stats_[msg.to].messages_received++;
     handlers_[msg.to](msg);
-  };
-  if (pdes_ == nullptr) {
-    loop_->ScheduleAt(at, std::move(deliver));
-    return;
-  }
-  AURORA_CHECK(to < shard_of_node_.size(), "delivery to unplaced node");
-  const uint32_t src_shard = shard_of_node_[from];
-  const uint32_t dst_shard = shard_of_node_[to];
-  if (src_shard == dst_shard) {
-    // Same-shard traffic needs no synchronization: the destination heap is
-    // the sender's own (or the world is quiesced at a barrier).
-    pdes_->shard(dst_shard)->ScheduleAt(at, std::move(deliver));
-  } else {
-    pdes_->Mail(src_shard, dst_shard, at, std::move(deliver));
-  }
+  });
 }
 
 bool Network::VerifyFrame(const Message& msg) {

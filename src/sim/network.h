@@ -1,7 +1,6 @@
 #ifndef AURORA_SIM_NETWORK_H_
 #define AURORA_SIM_NETWORK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -17,8 +16,6 @@
 #include "sim/topology.h"
 
 namespace aurora::sim {
-
-class ShardedEventLoop;
 
 /// A message in flight between simulated hosts. Payloads are real serialized
 /// bytes so that byte/packet accounting (the paper's PPS and bandwidth
@@ -82,16 +79,13 @@ struct NetStats {
 };
 
 /// Fabric-wide adversary counters (surfaced as net.adversary.*). All zero
-/// unless the corresponding knob is enabled. Atomics: under PDES these are
-/// bumped from several shard threads at once (send-side on the source shard,
-/// VerifyFrame on the destination shard); the final sums are commutative, so
-/// relaxed increments keep the dump deterministic.
+/// unless the corresponding knob is enabled.
 struct AdversaryStats {
-  std::atomic<uint64_t> duplicates_injected{0};  // extra deliveries scheduled
-  std::atomic<uint64_t> reordered{0};      // deliveries given scramble delay
-  std::atomic<uint64_t> corrupted_injected{0};  // frames bit-flipped in transit
-  std::atomic<uint64_t> corrupted_dropped{0};   // rejected by VerifyFrame
-  std::atomic<uint64_t> oneway_blocked{0};  // eaten by a one-way cut
+  uint64_t duplicates_injected = 0;  // extra deliveries scheduled
+  uint64_t reordered = 0;            // deliveries given scramble delay
+  uint64_t corrupted_injected = 0;   // frames bit-flipped in transit
+  uint64_t corrupted_dropped = 0;    // rejected by VerifyFrame
+  uint64_t oneway_blocked = 0;       // eaten by a one-way cut
 };
 
 /// The region's network fabric: delivers messages between registered hosts
@@ -116,18 +110,12 @@ class Network {
   /// everything addressed to it.
   void Register(NodeId node, Handler handler);
 
-  /// Switches the fabric to conservative-PDES routing (DESIGN.md §11):
-  /// `shard_of[node]` homes each node on one logical shard of `pdes`.
-  /// Same-shard deliveries go straight onto the destination shard's heap;
-  /// cross-shard deliveries travel through the coordinator's mailboxes.
-  /// Each node also gets a private RNG stream (forked deterministically from
-  /// the fabric seed) so jitter/adversary draws depend only on that node's
-  /// own send sequence, never on how shards interleave. Also derives the
-  /// PDES lookahead — the propagation-delay floor (base/4) minimized over
-  /// node pairs homed on different shards — and installs it on `pdes`.
-  /// Call once, after every node is registered and before the run starts.
-  void InstallShardRouting(ShardedEventLoop* pdes,
-                           std::vector<uint32_t> shard_of);
+  /// Gives each of nodes [0, num_nodes) a private RNG stream, forked in node
+  /// order from the fabric seed, so jitter and adversary draws depend only
+  /// on that node's own send sequence. Call once, after the topology is
+  /// complete and before the run starts; without it every send draws from
+  /// the one fabric stream.
+  void ForkNodeRngStreams(NodeId num_nodes);
 
   /// Sends `payload` from `from` to `to`. Delivery is asynchronous; the
   /// message is silently dropped if either endpoint is down/partitioned at
@@ -197,10 +185,7 @@ class Network {
   bool Reachable(NodeId from, NodeId to) const;
   SimDuration PropagationDelay(NodeId from, NodeId to);
   double LatencyFactor(NodeId n) const;
-  /// The clock governing a send from `from`: its home shard's loop under
-  /// PDES routing, the plain fabric loop otherwise.
-  EventLoop* ContextLoop(NodeId from);
-  /// RNG stream for sends from `from` (per-node under PDES routing).
+  /// RNG stream for sends from `from` (per-node after ForkNodeRngStreams).
   Random& RngFor(NodeId from);
 
   EventLoop* loop_;
@@ -208,10 +193,7 @@ class Network {
   FabricOptions options_;
   Random rng_;
 
-  // PDES routing (null/empty when running on a single loop).
-  ShardedEventLoop* pdes_ = nullptr;
-  std::vector<uint32_t> shard_of_node_;
-  std::vector<Random> node_rng_;
+  std::vector<Random> node_rng_;  // empty: every send draws from rng_
 
   std::vector<Handler> handlers_;
   std::vector<NetStats> stats_;

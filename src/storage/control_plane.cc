@@ -30,7 +30,6 @@ PgId CreatePgImplPick(const sim::Topology* topology,
 }
 
 PgId ControlPlane::CreatePg(size_t page_size) {
-  MutexLock lock(&mu_);
   PgMembership members;
   CreatePgImplPick(topology_, nodes_, &rng_, &members.nodes);
   members.page_size = page_size;
@@ -38,13 +37,11 @@ PgId ControlPlane::CreatePg(size_t page_size) {
   memberships_[pg] = members;
   config_history_.push_back({pg, members.config_epoch, members.nodes});
   // No segments are instantiated here: each member host materializes its
-  // replica lazily on first contact (StorageNode::EnsureSegment), so volume
-  // growth never mutates state homed on another PDES shard.
+  // replica lazily on first contact (StorageNode::EnsureSegment).
   return pg;
 }
 
 const PgMembership& ControlPlane::membership(PgId pg) const {
-  MutexLock lock(&mu_);
   auto it = memberships_.find(pg);
   AURORA_CHECK(it != memberships_.end(), "unknown PG");
   return it->second;
@@ -52,7 +49,6 @@ const PgMembership& ControlPlane::membership(PgId pg) const {
 
 bool ControlPlane::MemberPageSize(PgId pg, sim::NodeId node,
                                   size_t* page_size) const {
-  MutexLock lock(&mu_);
   auto it = memberships_.find(pg);
   if (it == memberships_.end() || it->second.IndexOf(node) < 0) return false;
   *page_size = it->second.page_size;
@@ -61,7 +57,6 @@ bool ControlPlane::MemberPageSize(PgId pg, sim::NodeId node,
 
 void ControlPlane::ReplaceReplica(PgId pg, ReplicaIdx idx,
                                   sim::NodeId replacement) {
-  MutexLock lock(&mu_);
   auto it = memberships_.find(pg);
   AURORA_CHECK(it != memberships_.end(), "unknown PG in ReplaceReplica");
   it->second.nodes[idx] = replacement;
@@ -79,7 +74,6 @@ void ControlPlane::SetPageSynthesizer(
 
 std::vector<std::pair<PgId, ReplicaIdx>> ControlPlane::ReplicasOnNode(
     sim::NodeId node) const {
-  MutexLock lock(&mu_);
   std::vector<std::pair<PgId, ReplicaIdx>> out;
   for (const auto& [pg, members] : memberships_) {
     int idx = members.IndexOf(node);

@@ -8,7 +8,6 @@
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "common/thread_annotations.h"
 #include "log/types.h"
 #include "sim/topology.h"
 
@@ -62,17 +61,12 @@ class ControlPlane {
   /// AZs ("segments are placed with high entropy", §3.3 — randomized,
   /// load-spread placement) and records the membership. Member hosts
   /// materialize their segment replicas lazily on first contact
-  /// (StorageNode::EnsureSegment) — under PDES the writer grows the volume
-  /// from its own shard mid-run, and must not reach into segment state homed
-  /// on other shards.
+  /// (StorageNode::EnsureSegment).
   PgId CreatePg(size_t page_size);
 
-  size_t num_pgs() const {
-    MutexLock lock(&mu_);
-    return memberships_.size();
-  }
+  size_t num_pgs() const { return memberships_.size(); }
   /// The returned reference is stable (map nodes never move); its contents
-  /// change only via ReplaceReplica, which runs with the world quiesced.
+  /// change only via ReplaceReplica.
   const PgMembership& membership(PgId pg) const;
   /// If `node` hosts a replica of `pg`, returns true and sets `*page_size`
   /// to the volume's page size (the lazy-materialization handshake).
@@ -92,10 +86,7 @@ class ControlPlane {
   };
   /// Every configuration every PG has ever had, in the order they were
   /// installed (CreatePg appends epoch 0, ReplaceReplica each bump).
-  std::vector<ConfigRecord> ConfigHistory() const {
-    MutexLock lock(&mu_);
-    return config_history_;
-  }
+  std::vector<ConfigRecord> ConfigHistory() const { return config_history_; }
 
   /// All PGs that have `node` as a member (repair scans).
   std::vector<std::pair<PgId, ReplicaIdx>> ReplicasOnNode(
@@ -134,13 +125,9 @@ class ControlPlane {
   const sim::Topology* topology_;
   Random rng_;
   std::map<sim::NodeId, StorageNode*> nodes_;
-  /// Guards the membership map: the writer inserts PGs mid-run from its home
-  /// shard while storage hosts on other shards look memberships up (gossip
-  /// peer choice, lazy segment materialization).
-  mutable Mutex mu_;
-  std::map<PgId, PgMembership> memberships_ GUARDED_BY(mu_);
-  std::vector<ConfigRecord> config_history_ GUARDED_BY(mu_);
-  PgId next_pg_ GUARDED_BY(mu_) = 0;
+  std::map<PgId, PgMembership> memberships_;
+  std::vector<ConfigRecord> config_history_;
+  PgId next_pg_ = 0;
   std::function<bool(PageId, class Page*)> synthesizer_;
   Epoch volume_epoch_ = 1;
   std::vector<TruncationRange> truncations_;

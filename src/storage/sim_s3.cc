@@ -25,49 +25,38 @@ SimDuration SimS3::Latency(SimDuration base, const std::string& key,
 }
 
 void SimS3::Put(const std::string& key, std::string bytes,
-                std::function<void(Status)> done, sim::EventLoop* on) {
-  SimDuration latency;
-  {
-    MutexLock lock(&mu_);
-    ++puts_;
-    latency = Latency(options_.put_latency, key, key_ops_[key]++);
-    auto it = objects_.find(key);
-    if (it != objects_.end()) bytes_stored_ -= it->second.size();
-    bytes_stored_ += bytes.size();
-    objects_[key] = std::move(bytes);
-  }
-  sim::EventLoop* loop = on != nullptr ? on : loop_;
-  loop->Schedule(latency, [done = std::move(done)]() { done(Status::OK()); });
+                std::function<void(Status)> done) {
+  ++puts_;
+  const SimDuration latency =
+      Latency(options_.put_latency, key, key_ops_[key]++);
+  auto it = objects_.find(key);
+  if (it != objects_.end()) bytes_stored_ -= it->second.size();
+  bytes_stored_ += bytes.size();
+  objects_[key] = std::move(bytes);
+  loop_->Schedule(latency, [done = std::move(done)]() { done(Status::OK()); });
 }
 
 void SimS3::Get(const std::string& key,
-                std::function<void(Result<std::string>)> done,
-                sim::EventLoop* on) {
-  SimDuration latency;
+                std::function<void(Result<std::string>)> done) {
+  ++gets_;
+  const SimDuration latency =
+      Latency(options_.get_latency, key, key_ops_[key]++);
   Result<std::string> result = Status::NotFound("no such object");
-  {
-    MutexLock lock(&mu_);
-    ++gets_;
-    latency = Latency(options_.get_latency, key, key_ops_[key]++);
-    auto it = objects_.find(key);
-    if (it != objects_.end()) result = it->second;
-  }
-  sim::EventLoop* loop = on != nullptr ? on : loop_;
-  loop->Schedule(latency, [done = std::move(done),
-                           result = std::move(result)]() mutable {
+  auto it = objects_.find(key);
+  if (it != objects_.end()) result = it->second;
+  loop_->Schedule(latency, [done = std::move(done),
+                            result = std::move(result)]() mutable {
     done(std::move(result));
   });
 }
 
 Result<std::string> SimS3::GetSync(const std::string& key) const {
-  MutexLock lock(&mu_);
   auto it = objects_.find(key);
   if (it == objects_.end()) return Status::NotFound("no such object");
   return it->second;
 }
 
 std::vector<std::string> SimS3::ListKeys(const std::string& prefix) const {
-  MutexLock lock(&mu_);
   std::vector<std::string> keys;
   for (auto it = objects_.lower_bound(prefix); it != objects_.end(); ++it) {
     if (it->first.compare(0, prefix.size(), prefix) != 0) break;

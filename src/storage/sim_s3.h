@@ -9,7 +9,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "common/units.h"
 #include "sim/event_loop.h"
 
@@ -20,12 +19,9 @@ namespace aurora {
 /// (Figure 4 step 6, §5) and the binlog archive of the mirrored-MySQL
 /// baseline (Figure 2). Objects survive any node/AZ failure by construction.
 ///
-/// Thread-safety (PDES): uploaders homed on different shards hit this in the
-/// same window, so the object map is mutex-guarded, each request's
-/// completion runs on the caller-supplied loop (its own shard), and latency
-/// jitter is derived from (key, per-key op counter) rather than a shared
-/// RNG stream — the draw is a function of the request itself, never of the
-/// cross-shard arrival interleaving.
+/// Latency jitter is derived from (key, per-key op counter) rather than a
+/// shared RNG stream, so a request's draw is a function of the request
+/// itself, not of what other keys were touched before it.
 class SimS3 {
  public:
   struct Options {
@@ -41,57 +37,41 @@ class SimS3 {
   SimS3& operator=(const SimS3&) = delete;
 
   /// Stores `bytes` under `key` (overwrites), invoking `done` after the
-  /// simulated round trip. `done` runs on `on` when given (the caller's
-  /// home-shard loop under PDES), else on the store's default loop.
+  /// simulated round trip.
   void Put(const std::string& key, std::string bytes,
-           std::function<void(Status)> done, sim::EventLoop* on = nullptr);
+           std::function<void(Status)> done);
 
-  /// Fetches the object; NotFound if absent. Completion loop as for Put().
-  void Get(const std::string& key, std::function<void(Result<std::string>)> done,
-           sim::EventLoop* on = nullptr);
+  /// Fetches the object; NotFound if absent.
+  void Get(const std::string& key,
+           std::function<void(Result<std::string>)> done);
 
   /// Synchronous existence/content check (control-plane use and tests).
   bool Contains(const std::string& key) const {
-    MutexLock lock(&mu_);
     return objects_.count(key) > 0;
   }
   Result<std::string> GetSync(const std::string& key) const;
   /// Objects whose key starts with `prefix`, in key order (restore scans).
   std::vector<std::string> ListKeys(const std::string& prefix) const;
 
-  uint64_t num_objects() const {
-    MutexLock lock(&mu_);
-    return objects_.size();
-  }
-  uint64_t bytes_stored() const {
-    MutexLock lock(&mu_);
-    return bytes_stored_;
-  }
-  uint64_t puts() const {
-    MutexLock lock(&mu_);
-    return puts_;
-  }
-  uint64_t gets() const {
-    MutexLock lock(&mu_);
-    return gets_;
-  }
+  uint64_t num_objects() const { return objects_.size(); }
+  uint64_t bytes_stored() const { return bytes_stored_; }
+  uint64_t puts() const { return puts_; }
+  uint64_t gets() const { return gets_; }
 
  private:
   /// Log-normal jitter seeded by (store seed, key bytes, per-key op index):
-  /// deterministic for a given request sequence per key, independent of the
-  /// order in which shards reach the store inside a window.
+  /// deterministic for a given request sequence per key.
   SimDuration Latency(SimDuration base, const std::string& key,
                       uint64_t op_index);
 
   sim::EventLoop* loop_;
   Options options_;
   const uint64_t seed_;
-  mutable Mutex mu_;
-  std::map<std::string, std::string> objects_ GUARDED_BY(mu_);
-  std::map<std::string, uint64_t> key_ops_ GUARDED_BY(mu_);
-  uint64_t bytes_stored_ GUARDED_BY(mu_) = 0;
-  uint64_t puts_ GUARDED_BY(mu_) = 0;
-  uint64_t gets_ GUARDED_BY(mu_) = 0;
+  std::map<std::string, std::string> objects_;
+  std::map<std::string, uint64_t> key_ops_;
+  uint64_t bytes_stored_ = 0;
+  uint64_t puts_ = 0;
+  uint64_t gets_ = 0;
 };
 
 }  // namespace aurora

@@ -78,6 +78,8 @@ void StorageNode::Crash() {
   loop_->Cancel(gc_timer_);
   loop_->Cancel(scrub_timer_);
   loop_->Cancel(backup_timer_);
+  for (const auto& [n, id] : deferred_) loop_->Cancel(id);
+  deferred_.clear();
 }
 
 void StorageNode::Restart() {
@@ -635,11 +637,10 @@ void StorageNode::ScrubTick() {
 void StorageNode::SchedulePeerPageRepair(PgId pg, PageId page) {
   // Fetch a healthy copy from any live peer (control-plane mediated;
   // whole-segment repair uses the chunked SegmentChunkReq data path
-  // instead). Peer segment state is homed on other PDES shards, so the
-  // fetch runs at the next barrier with the whole world quiesced; until
-  // then the dropped page re-materializes from the log on demand.
+  // instead). The fetch runs as its own event; until then the dropped page
+  // re-materializes from the log on demand.
   const uint64_t gen = generation_;
-  loop_->PostControl(0, [this, gen, pg, page] {
+  Defer([this, gen, pg, page] {
     if (gen != generation_ || crashed_) return;
     Segment* seg = segment(pg);
     if (seg == nullptr) return;
@@ -696,8 +697,7 @@ void StorageNode::BackupTick() {
     snprintf(key, sizeof(key), "backup/pg%06u/%020llu",
              static_cast<unsigned>(pg),
              static_cast<unsigned long long>(through));
-    // Completion on this node's own loop: S3 is shared across shards.
-    s3_->Put(key, std::move(blob), [](Status) {}, loop_);
+    s3_->Put(key, std::move(blob), [](Status) {});
     seg->MarkBackedUp(through);
     ++stats_.backup_objects;
   }
@@ -769,12 +769,20 @@ void StorageNode::AbortRepairSession(PgId pg, uint64_t req_id) {
 
 void StorageNode::NotifyRepairProgress(PgId pg, RepairProgress progress) {
   if (!repair_progress_cb_) return;
-  // The callback belongs to the repair manager, which is homed on the
-  // control shard — run it at the next barrier, quiesced.
+  // The callback belongs to the repair manager; run it as its own event so
+  // the manager never re-enters this node's message handler.
   const uint64_t gen = generation_;
-  loop_->PostControl(0, [this, gen, pg, progress] {
+  Defer([this, gen, pg, progress] {
     if (gen != generation_ || crashed_) return;
     if (repair_progress_cb_) repair_progress_cb_(pg, progress);
+  });
+}
+
+void StorageNode::Defer(sim::EventFn fn) {
+  const uint64_t n = next_deferred_++;
+  deferred_[n] = loop_->Schedule(0, [this, n, fn = std::move(fn)]() mutable {
+    deferred_.erase(n);
+    fn();
   });
 }
 

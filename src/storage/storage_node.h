@@ -164,8 +164,8 @@ class StorageNode {
   };
   /// Single manager-owned callback; per-repair routing happens in the
   /// manager keyed by (pg, req_id), so concurrent repairs targeting this
-  /// node never clobber each other. Delivered via PostControl (the manager
-  /// is homed on the control shard).
+  /// node never clobber each other. Delivered as its own event, never from
+  /// inside this node's message handler.
   using RepairProgressCallback =
       std::function<void(PgId, const RepairProgress&)>;
   void set_repair_progress_callback(RepairProgressCallback cb) {
@@ -196,9 +196,11 @@ class StorageNode {
   /// (shared by the one-shot state transfer and the chunked repair path).
   /// Returns false when the copy was rejected or malformed.
   bool InstallSegmentCopy(PgId pg, Slice state);
-  /// Posts a repair progress event to the manager at the next barrier.
+  /// Runs `fn` as its own event at the current time; Crash() cancels it.
+  void Defer(sim::EventFn fn);
+  /// Posts a repair progress event to the manager as its own event.
   void NotifyRepairProgress(PgId pg, RepairProgress progress);
-  /// Heals one corrupt base page from a live peer at the next barrier
+  /// Heals one corrupt base page from a live peer in a separate event
   /// (shared by the scrubber and the read path).
   void SchedulePeerPageRepair(PgId pg, PageId page);
 
@@ -258,6 +260,9 @@ class StorageNode {
   sim::EventId gc_timer_ = 0;
   sim::EventId scrub_timer_ = 0;
   sim::EventId backup_timer_ = 0;
+  /// Pending Defer() events, keyed by a running count; cancelled on Crash().
+  std::map<uint64_t, sim::EventId> deferred_;
+  uint64_t next_deferred_ = 0;
   bool crashed_ = false;
   /// Bumped on every crash; stale async callbacks (disk completions from
   /// before the crash) check it and become no-ops.

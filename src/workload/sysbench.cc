@@ -21,15 +21,9 @@ uint64_t SysbenchDriver::PickRow(Connection* c) {
 }
 
 void SysbenchDriver::EnableIntervalMetrics(const MetricsRegistry* registry,
-                                           SimDuration interval,
-                                           sim::EventLoop* timer_loop) {
+                                           SimDuration interval) {
   metrics_registry_ = registry;
   metrics_interval_ = interval;
-  metrics_loop_ = timer_loop;
-}
-
-sim::EventLoop* SysbenchDriver::TimerLoop() {
-  return metrics_loop_ != nullptr ? metrics_loop_ : loop_;
 }
 
 void SysbenchDriver::MetricsTick() {
@@ -37,7 +31,7 @@ void SysbenchDriver::MetricsTick() {
   MetricsSnapshot now = metrics_registry_->Snapshot();
   metric_windows_.push_back(now.Diff(metrics_base_));
   metrics_base_ = std::move(now);
-  TimerLoop()->Schedule(metrics_interval_, [this] { MetricsTick(); });
+  loop_->Schedule(metrics_interval_, [this] { MetricsTick(); });
 }
 
 void SysbenchDriver::Run(std::function<void()> done) {
@@ -55,16 +49,15 @@ void SysbenchDriver::Run(std::function<void()> done) {
     MaybeFinish();
   });
   if (metrics_registry_ != nullptr && metrics_interval_ > 0) {
-    sim::EventLoop* tl = TimerLoop();
-    tl->Schedule(options_.warmup, [this] {
+    loop_->Schedule(options_.warmup, [this] {
       metrics_base_ = metrics_registry_->Snapshot();
       windows_active_ = true;
-      TimerLoop()->Schedule(metrics_interval_, [this] { MetricsTick(); });
+      loop_->Schedule(metrics_interval_, [this] { MetricsTick(); });
     });
     // Scheduled before any tick, so at an exact interval boundary this
     // runs first: it captures the final (possibly partial) window and the
     // same-time tick then no-ops on !windows_active_.
-    tl->Schedule(options_.warmup + options_.duration, [this] {
+    loop_->Schedule(options_.warmup + options_.duration, [this] {
       if (!windows_active_) return;
       metric_windows_.push_back(
           metrics_registry_->Snapshot().Diff(metrics_base_));

@@ -75,16 +75,8 @@ class SysbenchDriver {
   /// the Diff against the previous snapshot, so counters become
   /// per-interval deltas (a time series for the bench JSON). Call before
   /// Run(); `registry` must outlive the run.
-  ///
-  /// `timer_loop` is where the snapshot timers run; for a sharded cluster
-  /// pass the loop's control shard (snapshots must observe a consistent
-  /// global cut, which a shard-local event cannot guarantee under
-  /// multi-worker execution — control events run at window barriers with
-  /// every shard quiesced). nullptr = the driver's own loop (single-shard
-  /// runs).
   void EnableIntervalMetrics(const MetricsRegistry* registry,
-                             SimDuration interval,
-                             sim::EventLoop* timer_loop = nullptr);
+                             SimDuration interval);
   /// Per-interval windows, oldest first; the final window covers whatever
   /// partial interval remained when measurement stopped.
   const std::vector<MetricsSnapshot>& metric_windows() const {
@@ -105,7 +97,6 @@ class SysbenchDriver {
   uint64_t PickRow(Connection* c);
   void MaybeFinish();
   void MetricsTick();
-  sim::EventLoop* TimerLoop();
 
   sim::EventLoop* loop_;
   ClientApi* client_;
@@ -121,7 +112,6 @@ class SysbenchDriver {
   std::function<void()> done_;
   const MetricsRegistry* metrics_registry_ = nullptr;
   SimDuration metrics_interval_ = 0;
-  sim::EventLoop* metrics_loop_ = nullptr;
   bool windows_active_ = false;
   MetricsSnapshot metrics_base_;
   std::vector<MetricsSnapshot> metric_windows_;

@@ -39,6 +39,18 @@ TEST_F(AuroraClusterTest, BootstrapCreatesDurableVolume) {
   EXPECT_GE(cluster_.control_plane()->num_pgs(), 1u);
 }
 
+// RunUntil advances one event at a time, so the clock stops at the event that
+// made the predicate true — never past it. recovery_ms and every *Sync
+// latency read the clock right after RunUntil returns.
+TEST_F(AuroraClusterTest, RunUntilStopsAtThePredicateEvent) {
+  cluster_.RunFor(Millis(10));  // let the writer's vCPUs drain
+  bool fired = false;
+  const SimTime t = cluster_.loop()->now() + Micros(37);
+  cluster_.writer_instance()->Execute(Micros(37), [&fired] { fired = true; });
+  ASSERT_TRUE(cluster_.RunUntil([&] { return fired; }, Seconds(1)));
+  EXPECT_EQ(cluster_.loop()->now(), t);
+}
+
 TEST_F(AuroraClusterTest, PutThenGetRoundTrip) {
   ASSERT_TRUE(cluster_.PutSync(table_, "hello", "world").ok());
   auto got = cluster_.GetSync(table_, "hello");

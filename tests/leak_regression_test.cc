@@ -55,7 +55,7 @@ TEST(LeakRegressionTest, TpccLoadTeardownMidFlight) {
   TpccOptions opts;
   opts.warehouses = 4;
   opts.connections = 4;
-  auto driver = std::make_unique<TpccDriver>(cluster->writer_loop(), &client,
+  auto driver = std::make_unique<TpccDriver>(cluster->loop(), &client,
                                              tables, opts);
   bool load_done = false;
   driver->Load([&](Status) { load_done = true; });
@@ -78,7 +78,7 @@ TEST(LeakRegressionTest, TpccRunTeardownMidTransactions) {
   opts.connections = 8;
   opts.warmup = Millis(1);
   opts.duration = Seconds(30);  // far beyond the window we run
-  auto driver = std::make_unique<TpccDriver>(cluster->writer_loop(), &client,
+  auto driver = std::make_unique<TpccDriver>(cluster->loop(), &client,
                                              tables, opts);
   Status load_status = Status::Busy("pending");
   driver->Load([&](Status s) { load_status = s; });

@@ -212,7 +212,7 @@ TEST(SysbenchTest, OltpMixRunsOnAurora) {
   opts.table_rows = 10000;
   opts.duration = Seconds(2);
   opts.warmup = Millis(200);
-  SysbenchDriver driver(cluster.writer_loop(), &client, (*layout)->anchor(), opts);
+  SysbenchDriver driver(cluster.loop(), &client, (*layout)->anchor(), opts);
   bool done = false;
   driver.Run([&] { done = true; });
   ASSERT_TRUE(cluster.RunUntil([&] { return done; }, Minutes(5)));
@@ -240,7 +240,7 @@ TEST(SysbenchTest, WriteOnlyRunsOnMysql) {
   opts.table_rows = 10000;
   opts.duration = Seconds(2);
   opts.warmup = Millis(200);
-  SysbenchDriver driver(cluster.writer_loop(), &client, (*layout)->anchor(), opts);
+  SysbenchDriver driver(cluster.loop(), &client, (*layout)->anchor(), opts);
   bool done = false;
   driver.Run([&] { done = true; });
   ASSERT_TRUE(cluster.RunUntil([&] { return done; }, Minutes(5)));
@@ -261,7 +261,7 @@ TEST(SysbenchTest, AuroraOutpacesMysqlOnWrites) {
   SyntheticCatalog cat_a;
   auto la = AttachSyntheticTable(&ac, &cat_a, "t", 10000, 100);
   AuroraClient aclient(ac.writer());
-  SysbenchDriver ad(ac.writer_loop(), &aclient, (*la)->anchor(), opts);
+  SysbenchDriver ad(ac.loop(), &aclient, (*la)->anchor(), opts);
   bool adone = false;
   ad.Run([&] { adone = true; });
   ASSERT_TRUE(ac.RunUntil([&] { return adone; }, Minutes(5)));
@@ -274,7 +274,7 @@ TEST(SysbenchTest, AuroraOutpacesMysqlOnWrites) {
   SyntheticCatalog cat_m;
   auto lm = AttachSyntheticTableMysql(&mc, &cat_m, "t", 10000, 100);
   MysqlClient mclient(mc.db());
-  SysbenchDriver md(mc.writer_loop(), &mclient, (*lm)->anchor(), opts);
+  SysbenchDriver md(mc.loop(), &mclient, (*lm)->anchor(), opts);
   bool mdone = false;
   md.Run([&] { mdone = true; });
   ASSERT_TRUE(mc.RunUntil([&] { return mdone; }, Minutes(5)));
@@ -306,7 +306,7 @@ TEST(TpccTest, MixRunsAndCommitsNewOrders) {
   opts.stock_items = 100;
   opts.duration = Seconds(2);
   opts.warmup = Millis(200);
-  TpccDriver driver(cluster.writer_loop(), &client, tables, opts);
+  TpccDriver driver(cluster.loop(), &client, tables, opts);
   Status load_status = Status::TimedOut("load");
   bool loaded = false;
   driver.Load([&](Status s) {
