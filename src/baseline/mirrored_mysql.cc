@@ -420,7 +420,7 @@ void MirroredMySql::FlushOnePage(PageId id, std::function<void(Status)> done) {
 Result<Page*> MirroredMySql::GetPage(PageId id) {
   Page* page = pool_.Lookup(id);
   if (page != nullptr) return page;
-  last_miss_ = id;
+  restarts_.NoteMiss(id);
   if (fetch_in_flight_.insert(id).second) {
     ++stats_.page_reads;
     auto finish_fetch = [this, id]() {
@@ -437,12 +437,7 @@ Result<Page*> MirroredMySql::GetPage(PageId id) {
             // an unformatted frame is installed for redo to format.
             fetch_in_flight_.erase(id);
             pool_.Install(id, std::move(page));
-            pool_.EvictExcess();
-            auto wit = page_waiters_.find(id);
-            if (wit == page_waiters_.end()) return;
-            auto waiters = std::move(wit->second);
-            page_waiters_.erase(wit);
-            for (auto& w : waiters) w();
+            restarts_.PageInstalled(id);
           });
     };
     // The §1 cache-miss penalty: when the pool is saturated with dirty
@@ -578,7 +573,7 @@ void MirroredMySql::Crash() {
   commit_waiters_.clear();
   chain_ops_.clear();
   dirty_since_.clear();
-  page_waiters_.clear();
+  restarts_.Clear();
   fetch_in_flight_.clear();
 }
 
@@ -671,8 +666,9 @@ void MirroredMySql::ReplayWal(std::shared_ptr<std::vector<LogRecord>> records,
     Result<Page*> page = GetPage(rec.page_id);
     if (!page.ok()) {
       // Busy: wait for the fetch, then resume from this index.
-      page_waiters_[rec.page_id].push_back(
-          [this, records, idx, done]() { ReplayWal(records, idx, done); });
+      restarts_.Park(rec.page_id, [this, records, idx, done](Status) {
+        ReplayWal(records, idx, done);
+      });
       return;
     }
     Status s = LogApplicator::Apply(rec, *page);
@@ -699,19 +695,7 @@ void MirroredMySql::ReplayWal(std::shared_ptr<std::vector<LogRecord>> records,
 // Schema & transactions
 // ---------------------------------------------------------------------------
 
-void MirroredMySql::RunWithRetries(std::function<Status()> attempt,
-                                   std::function<void(Status)> done) {
-  last_miss_ = kInvalidPage;
-  Status s = attempt();
-  if (s.IsBusy() && last_miss_ != kInvalidPage) {
-    PageId missed = last_miss_;
-    page_waiters_[missed].push_back(
-        [this, attempt = std::move(attempt), done = std::move(done)]() {
-          RunWithRetries(attempt, done);
-        });
-    return;
-  }
-  pool_.EvictExcess();
+void MirroredMySql::FlushLruVictim() {
   // Free-page pressure: when the pool is over capacity and clogged with
   // dirty pages, InnoDB's LRU flusher must write one back before anything
   // can be evicted — the §1 "evicting and flushing a dirty cache page"
@@ -725,7 +709,6 @@ void MirroredMySql::RunWithRetries(std::function<Status()> attempt,
       pool_.EvictExcess();
     });
   }
-  done(s);
 }
 
 void MirroredMySql::CreateTable(const std::string& name,
@@ -761,7 +744,7 @@ void MirroredMySql::CreateTable(const std::string& name,
     *commit_lsn = mtr.commit_lsn();
     return Status::OK();
   };
-  RunWithRetries(attempt, [this, done, commit_lsn](Status s) {
+  restarts_.Run(attempt, [this, done, commit_lsn](Status s) {
     if (!s.ok()) {
       done(s);
       return;
@@ -926,7 +909,7 @@ void MirroredMySql::Put(TxnId txn, PageId table, const std::string& key,
         if (t == nullptr || !t->active) return Status::Aborted("gone");
         return WriteRowAttempt(t, table, key, &value);
       };
-      RunWithRetries(attempt, [this, done, started](Status s) {
+      restarts_.Run(attempt, [this, done, started](Status s) {
         stats_.write_latency_us.Record(loop_->now() - started);
         done(s);
       });
@@ -956,7 +939,7 @@ void MirroredMySql::Get(TxnId txn, PageId table, const std::string& key,
         BTree tree(this, table);
         return tree.Get(key, result.get());
       };
-      RunWithRetries(attempt, [this, done, result, started](Status s) {
+      restarts_.Run(attempt, [this, done, result, started](Status s) {
         stats_.read_latency_us.Record(loop_->now() - started);
         if (s.ok()) {
           done(std::move(*result));
@@ -992,7 +975,7 @@ void MirroredMySql::Delete(TxnId txn, PageId table, const std::string& key,
         if (t == nullptr || !t->active) return Status::Aborted("gone");
         return WriteRowAttempt(t, table, key, nullptr);
       };
-      RunWithRetries(attempt, done);
+      restarts_.Run(attempt, done);
     };
     Status s = locks_.Lock(txn, table, key, LockMode::kExclusive, with_lock);
     if (!s.IsBusy()) with_lock(s);
@@ -1035,7 +1018,7 @@ void MirroredMySql::FinishRollback(Txn* t, std::function<void(Status)> done) {
   t->active = false;
   // In-memory undo (the baseline does not persist undo; see DESIGN.md).
   // The stored callback refers to itself weakly; each continuation passed to
-  // RunWithRetries holds the strong reference that keeps the chain alive.
+  // restarts_.Run holds the strong reference that keeps the chain alive.
   // Capturing `undo_next` strongly here would make the std::function own a
   // shared_ptr to itself — a reference cycle that never frees.
   auto undo_next = std::make_shared<std::function<void(size_t)>>();
@@ -1074,14 +1057,14 @@ void MirroredMySql::FinishRollback(Txn* t, std::function<void(Status)> done) {
     // Locking here always succeeds: the caller of this lambda (either
     // FinishRollback or a previous continuation) holds a strong reference
     // for the duration of the call.
-    RunWithRetries(attempt,
-                   [done, next = weak_next.lock(), remaining](Status s) {
-                     if (!s.ok()) {
-                       done(s);
-                       return;
-                     }
-                     if (next) (*next)(remaining - 1);
-                   });
+    restarts_.Run(attempt,
+                  [done, next = weak_next.lock(), remaining](Status s) {
+                    if (!s.ok()) {
+                      done(s);
+                      return;
+                    }
+                    if (next) (*next)(remaining - 1);
+                  });
   };
   (*undo_next)(t->undo.size());
 }

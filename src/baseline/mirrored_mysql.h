@@ -15,6 +15,7 @@
 #include "engine/buffer_pool.h"
 #include "engine/lock_manager.h"
 #include "engine/options.h"
+#include "engine/restart_loop.h"
 #include "log/mtr.h"
 #include "page/btree.h"
 #include "page/page_provider.h"
@@ -149,7 +150,6 @@ class MirroredMySql : public WalSink, public PageProvider {
   Result<Page*> AllocatePage(PageType type, uint8_t level,
                              MiniTransaction* mtr) override;
   Status FreePage(Page* page, MiniTransaction* mtr) override;
-  PageId last_miss() const override { return last_miss_; }
   size_t page_size() const override { return options_.engine.page_size; }
 
  private:
@@ -185,8 +185,8 @@ class MirroredMySql : public WalSink, public PageProvider {
   void CheckpointTick();
   void FlushOnePage(PageId id, std::function<void(Status)> done);
   SimDuration StatementCpuCost() const;
-  void RunWithRetries(std::function<Status()> attempt,
-                      std::function<void(Status)> done);
+  /// The restart loop's step before each `done`: InnoDB's LRU flusher.
+  void FlushLruVictim();
   Status WriteRowAttempt(Txn* txn, PageId table, const std::string& key,
                          const std::string* value);
   Txn* FindTxn(TxnId id);
@@ -234,9 +234,8 @@ class MirroredMySql : public WalSink, public PageProvider {
   BufferPool pool_;
   Lsn infinite_vdl_ = UINT64_MAX;  // baseline pool never blocks on VDL
   std::map<PageId, Lsn> dirty_since_;
-  std::map<PageId, std::vector<std::function<void()>>> page_waiters_;
+  RestartLoop restarts_{&pool_, [this] { FlushLruVictim(); }};
   std::set<PageId> fetch_in_flight_;
-  PageId last_miss_ = kInvalidPage;
 
   LockManager locks_;
   TxnId next_txn_ = 1;

@@ -4,6 +4,7 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
+#include "engine/row_codec.h"
 #include "storage/storage_node.h"
 
 namespace aurora {
@@ -40,21 +41,6 @@ bool DecodeCatalogValue(const Slice& v, PageId* anchor, uint32_t* version) {
 
 std::string EncodeTxnStateValue(TxnState state) {
   return std::string(1, static_cast<char>(state));
-}
-
-std::string EncodeRow(uint32_t version, const std::string& value) {
-  std::string row;
-  PutVarint32(&row, version);
-  row += value;
-  return row;
-}
-
-Status DecodeRow(const std::string& row, uint32_t* version,
-                 std::string* value) {
-  Slice in(row);
-  if (!GetVarint32(&in, version)) return Status::Corruption("bad row header");
-  value->assign(in.data(), in.size());
-  return Status::OK();
 }
 
 std::string EncodeUndoValue(PageId table, const std::string& key, bool had_old,
@@ -258,7 +244,7 @@ void Database::Crash() {
   outstanding_.clear();
   replica_scl_.clear();
   pg_config_.clear();
-  page_waiters_.clear();
+  restarts_.Clear();
   fetch_in_flight_.clear();
   pending_reads_.clear();
   replica_stream_buffer_.clear();
@@ -561,7 +547,7 @@ void Database::BecomeFenced(Epoch fencing_epoch) {
   }
   pending_reads_.clear();
   fetch_in_flight_.clear();
-  page_waiters_.clear();
+  restarts_.Clear();
   durable_waiters_.clear();
   backpressure_queue_.clear();
   commit_queue_.clear();
@@ -600,7 +586,7 @@ void Database::DrainBackpressure() {
 Result<Page*> Database::GetPage(PageId id) {
   Page* page = pool_.Lookup(id);
   if (page != nullptr) return page;
-  last_miss_ = id;
+  restarts_.NoteMiss(id);
   StartPageFetch(id);
   return Status::Busy("page miss");
 }
@@ -808,41 +794,7 @@ void Database::HandleReadPageResp(const sim::Message& msg) {
   pending_reads_.erase(it);
   fetch_in_flight_.erase(id);
   pool_.Install(id, std::move(*page));
-  // Safe point: no operation is mid-attempt here, so eviction cannot
-  // invalidate live page pointers.
-  pool_.EvictExcess();
-
-  auto wit = page_waiters_.find(id);
-  if (wit == page_waiters_.end()) return;
-  std::vector<PageWaiter> waiters = std::move(wit->second);
-  page_waiters_.erase(wit);
-  for (PageWaiter& w : waiters) w.retry();
-}
-
-// --------------------------------------------------------------------------
-// Op plumbing
-// --------------------------------------------------------------------------
-
-void Database::RunWithRetries(std::function<Status()> attempt,
-                              std::function<void(Status)> done) {
-  last_miss_ = kInvalidPage;
-  Status s = attempt();
-  if (s.IsBusy() && last_miss_ != kInvalidPage) {
-    PageId missed = last_miss_;
-    page_waiters_[missed].push_back(
-        {[this, attempt = std::move(attempt), done = std::move(done)]() {
-          RunWithRetries(attempt, done);
-        }});
-    return;
-  }
-  // Safe point for eviction: the attempt is finished, nothing holds raw
-  // page pointers.
-  pool_.EvictExcess();
-  done(s);
-}
-
-void Database::ChargeCpu(SimDuration cost, std::function<void()> then) {
-  instance_->Execute(cost, std::move(then));
+  restarts_.PageInstalled(id);
 }
 
 // --------------------------------------------------------------------------
@@ -881,7 +833,7 @@ void Database::CreateTable(const std::string& name,
     durable_lsn_for_ddl_ = mtr.commit_lsn();
     return Status::OK();
   };
-  RunWithRetries(attempt, [this, done](Status s) {
+  restarts_.Run(attempt, [this, done](Status s) {
     if (!s.ok()) {
       done(s);
       return;
@@ -996,7 +948,7 @@ void Database::AlterTableSchema(const std::string& name,
     durable_lsn_for_ddl_ = mtr.commit_lsn();
     return Status::OK();
   };
-  RunWithRetries(attempt, [this, done](Status s) {
+  restarts_.Run(attempt, [this, done](Status s) {
     if (!s.ok()) {
       done(s);
       return;
@@ -1082,249 +1034,160 @@ Status Database::WriteRowAttempt(Txn* txn, PageId table,
 void Database::Put(TxnId txn, PageId table, const std::string& key,
                    const std::string& value,
                    std::function<void(Status)> done) {
-  if (!open_) {
-    done(fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
-                 : Status::Unavailable("database not open"));
-    return;
-  }
-  Txn* t = FindTxn(txn);
-  if (t == nullptr || t->state != TxnState::kActive) {
-    done(Status::Aborted("transaction not active"));
-    return;
-  }
-  if (paused_ && txn >= pause_watermark_) {
-    DeferForBackpressure([this, txn, table, key, value, done]() {
-      Put(txn, table, key, value, done);
-    });
-    return;
-  }
-  if (in_backpressure()) {
-    DeferForBackpressure([this, txn, table, key, value, done]() {
-      Put(txn, table, key, value, done);
-    });
-    return;
-  }
-  ++stats_.writes;
-  SimTime started = loop_->now();
-  ChargeCpu(options_.cpu_per_statement, [this, txn, table, key, value, done,
-                                         started]() {
-    auto with_lock = [this, txn, table, key, value, done, started](Status ls) {
-      if (!ls.ok()) {
-        Txn* t = FindTxn(txn);
-        if (t != nullptr) {
-          RollbackInternal(t, [done, ls](Status) { done(ls); });
-        } else {
-          done(ls);
-        }
-        return;
-      }
-      auto attempt = [this, txn, table, key, value]() -> Status {
-        Txn* t = FindTxn(txn);
-        if (t == nullptr || t->state != TxnState::kActive) {
-          return Status::Aborted("transaction gone");
-        }
-        return WriteRowAttempt(t, table, key, &value);
-      };
-      RunWithRetries(attempt, [this, done, started](Status s) {
-        stats_.write_latency_us.Record(loop_->now() - started);
-        done(s);
-      });
-    };
-    Status s = locks_.Lock(txn, table, key, LockMode::kExclusive, with_lock);
-    if (!s.IsBusy()) with_lock(s);
-  });
+  auto st = std::make_shared<Statement>(Statement::Kind::kPut, txn, table, key);
+  st->value = value;
+  st->write_done = std::move(done);
+  RunStatement(std::move(st));
 }
 
 void Database::Delete(TxnId txn, PageId table, const std::string& key,
                       std::function<void(Status)> done) {
-  if (!open_) {
-    done(fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
-                 : Status::Unavailable("database not open"));
-    return;
-  }
-  Txn* t = FindTxn(txn);
-  if (t == nullptr || t->state != TxnState::kActive) {
-    done(Status::Aborted("transaction not active"));
-    return;
-  }
-  if (in_backpressure()) {
-    DeferForBackpressure(
-        [this, txn, table, key, done]() { Delete(txn, table, key, done); });
-    return;
-  }
-  ++stats_.deletes;
-  ChargeCpu(options_.cpu_per_statement, [this, txn, table, key, done]() {
-    auto with_lock = [this, txn, table, key, done](Status ls) {
-      if (!ls.ok()) {
-        Txn* t = FindTxn(txn);
-        if (t != nullptr) {
-          RollbackInternal(t, [done, ls](Status) { done(ls); });
-        } else {
-          done(ls);
-        }
-        return;
-      }
-      auto attempt = [this, txn, table, key]() -> Status {
-        Txn* t = FindTxn(txn);
-        if (t == nullptr || t->state != TxnState::kActive) {
-          return Status::Aborted("transaction gone");
-        }
-        return WriteRowAttempt(t, table, key, nullptr);
-      };
-      RunWithRetries(attempt, done);
-    };
-    Status s = locks_.Lock(txn, table, key, LockMode::kExclusive, with_lock);
-    if (!s.IsBusy()) with_lock(s);
-  });
+  auto st =
+      std::make_shared<Statement>(Statement::Kind::kDelete, txn, table, key);
+  st->write_done = std::move(done);
+  RunStatement(std::move(st));
 }
 
 void Database::Get(TxnId txn, PageId table, const std::string& key,
                    std::function<void(Result<std::string>)> done) {
-  if (!open_) {
-    done(fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
-                 : Status::Unavailable("database not open"));
-    return;
-  }
-  Txn* t = FindTxn(txn);
-  if (t == nullptr || t->state != TxnState::kActive) {
-    done(Status::Aborted("transaction not active"));
-    return;
-  }
-  if (paused_ && txn >= pause_watermark_) {
-    DeferForBackpressure(
-        [this, txn, table, key, done]() { Get(txn, table, key, done); });
-    return;
-  }
-  ++stats_.reads;
-  SimTime started = loop_->now();
-  ChargeCpu(options_.cpu_per_statement, [this, txn, table, key, done,
-                                         started]() {
-    auto with_lock = [this, txn, table, key, done, started](Status ls) {
-      if (!ls.ok()) {
-        Txn* t = FindTxn(txn);
-        if (t != nullptr) {
-          RollbackInternal(t, [done, ls](Status) { done(ls); });
-        } else {
-          done(ls);
-        }
-        return;
-      }
-      auto result = std::make_shared<std::string>();
-      auto attempt = [this, table, key, result]() -> Status {
-        BTree tree(this, table);
-        return tree.Get(key, result.get());
-      };
-      RunWithRetries(attempt, [this, done, result, started](Status s) {
-        stats_.read_latency_us.Record(loop_->now() - started);
-        if (!s.ok()) {
-          done(s);
-          return;
-        }
-        uint32_t version;
-        std::string value;
-        Status ds = DecodeRow(*result, &version, &value);
-        if (!ds.ok()) {
-          done(ds);
-          return;
-        }
-        done(std::move(value));
-      });
-    };
-    Status s = locks_.Lock(txn, table, key, LockMode::kShared, with_lock);
-    if (!s.IsBusy()) with_lock(s);
-  });
+  auto st = std::make_shared<Statement>(Statement::Kind::kGet, txn, table, key);
+  st->read_done = std::move(done);
+  RunStatement(std::move(st));
 }
 
 void Database::SnapshotGet(TxnId txn, PageId table, const std::string& key,
                            std::function<void(Result<std::string>)> done) {
-  if (!open_) {
-    done(fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
-                 : Status::Unavailable("database not open"));
-    return;
-  }
-  (void)txn;
-  ++stats_.reads;
-  SimTime started = loop_->now();
-  ChargeCpu(options_.cpu_per_statement, [this, table, key, done, started]() {
-    // Consistent (lock-free) read: if another active transaction holds the
-    // row exclusively, reconstruct the pre-image from its undo chain —
-    // undo-based snapshot isolation as in InnoDB consistent reads.
-    for (const auto& [id, t] : txns_) {
-      if (t->state != TxnState::kActive) continue;
-      for (auto it = t->undo.rbegin(); it != t->undo.rend(); ++it) {
-        if (it->table != table || it->key != key) continue;
-        if (!it->had_old) {
-          done(Status::NotFound("row created by in-flight txn"));
-          return;
-        }
-        uint32_t version;
-        std::string value;
-        Status ds = DecodeRow(it->old_value, &version, &value);
-        if (ds.ok()) {
-          done(std::move(value));
-        } else {
-          done(ds);
-        }
-        return;
-      }
-    }
-    auto result = std::make_shared<std::string>();
-    auto attempt = [this, table, key, result]() -> Status {
-      BTree tree(this, table);
-      return tree.Get(key, result.get());
-    };
-    RunWithRetries(attempt, [this, done, result, started](Status s) {
-      stats_.read_latency_us.Record(loop_->now() - started);
-      if (!s.ok()) {
-        done(s);
-        return;
-      }
-      uint32_t version;
-      std::string value;
-      Status ds = DecodeRow(*result, &version, &value);
-      if (ds.ok()) {
-        done(std::move(value));
-      } else {
-        done(ds);
-      }
-    });
-  });
+  auto st = std::make_shared<Statement>(Statement::Kind::kSnapshotGet, txn,
+                                        table, key);
+  st->read_done = std::move(done);
+  RunStatement(std::move(st));
 }
 
-void Database::Scan(
-    TxnId txn, PageId table, const std::string& start, int limit,
-    std::function<void(
-        Result<std::vector<std::pair<std::string, std::string>>>)>
-        done) {
+void Database::Scan(TxnId txn, PageId table, const std::string& start,
+                    int limit, std::function<void(Result<ScanRows>)> done) {
+  auto st =
+      std::make_shared<Statement>(Statement::Kind::kScan, txn, table, start);
+  st->limit = limit;
+  st->scan_done = std::move(done);
+  RunStatement(std::move(st));
+}
+
+void Database::RunStatement(std::shared_ptr<Statement> st) {
   if (!open_) {
-    done(fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
-                 : Status::Unavailable("database not open"));
+    Status s = fenced_ ? Status::Fenced("writer fenced by a newer volume epoch")
+                       : Status::Unavailable("database not open");
+    ReplyStatement(st.get(), s);
     return;
   }
-  (void)txn;  // read-committed scan: no row locks
-  ++stats_.reads;
-  ChargeCpu(options_.cpu_per_statement, [this, table, start, limit, done]() {
-    auto rows = std::make_shared<
-        std::vector<std::pair<std::string, std::string>>>();
-    auto attempt = [this, table, start, limit, rows]() -> Status {
-      rows->clear();
-      BTree tree(this, table);
-      return tree.Scan(start, limit, rows.get());
-    };
-    RunWithRetries(attempt, [done, rows](Status s) {
-      if (!s.ok()) {
-        done(s);
+  if (!st->reads_committed()) {
+    Txn* t = FindTxn(st->txn);
+    if (t == nullptr || t->state != TxnState::kActive) {
+      ReplyStatement(st.get(), Status::Aborted("transaction not active"));
+      return;
+    }
+  }
+  // The ZDP door (§7.4) holds every statement of a transaction begun after
+  // the patch started; the LAL (§4.2.1) holds writes.
+  if ((paused_ && st->txn >= pause_watermark_) ||
+      (st->writes() && in_backpressure())) {
+    DeferForBackpressure([this, st]() { RunStatement(st); });
+    return;
+  }
+  ++(st->kind == Statement::Kind::kPut      ? stats_.writes
+     : st->kind == Statement::Kind::kDelete ? stats_.deletes
+                                            : stats_.reads);
+  st->started = loop_->now();
+  instance_->Execute(options_.cpu_per_statement,
+                     [this, st = std::move(st)]() mutable {
+                       LockAndRunStatement(std::move(st));
+                     });
+}
+
+void Database::LockAndRunStatement(std::shared_ptr<Statement> st) {
+  auto locked = [this, st](Status ls) {
+    if (!ls.ok()) {
+      Txn* t = FindTxn(st->txn);
+      if (t == nullptr) {
+        ReplyStatement(st.get(), ls);
         return;
       }
-      // Strip version stamps.
-      for (auto& [k, raw] : *rows) {
-        uint32_t version;
-        std::string value;
-        if (DecodeRow(raw, &version, &value).ok()) raw = std::move(value);
+      RollbackInternal(t, [this, st, ls](Status) {
+        ReplyStatement(st.get(), ls);
+      });
+      return;
+    }
+    Statement* raw = st.get();
+    restarts_.Run([this, raw]() { return StatementAttempt(raw); },
+                  [this, st](Status s) {
+                    (st->writes() ? stats_.write_latency_us
+                                  : stats_.read_latency_us)
+                        .Record(loop_->now() - st->started);
+                    ReplyStatement(st.get(), s);
+                  });
+  };
+  if (st->reads_committed()) {
+    locked(Status::OK());
+    return;
+  }
+  const LockMode mode =
+      st->writes() ? LockMode::kExclusive : LockMode::kShared;
+  Status s = locks_.Lock(st->txn, st->table, st->key, mode, locked);
+  if (!s.IsBusy()) locked(s);
+}
+
+Status Database::StatementAttempt(Statement* st) {
+  BTree tree(this, st->table);
+  switch (st->kind) {
+    case Statement::Kind::kPut:
+    case Statement::Kind::kDelete: {
+      Txn* t = FindTxn(st->txn);
+      if (t == nullptr || t->state != TxnState::kActive) {
+        return Status::Aborted("transaction gone");
       }
-      done(std::move(*rows));
-    });
-  });
+      return WriteRowAttempt(
+          t, st->table, st->key,
+          st->kind == Statement::Kind::kPut ? &st->value : nullptr);
+    }
+    case Statement::Kind::kSnapshotGet:
+      // Consistent (lock-free) read: if another active transaction has
+      // changed the row, its undo chain holds the pre-image — undo-based
+      // snapshot isolation as in InnoDB consistent reads.
+      for (const auto& [id, t] : txns_) {
+        if (t->state != TxnState::kActive) continue;
+        for (auto it = t->undo.rbegin(); it != t->undo.rend(); ++it) {
+          if (it->table != st->table || it->key != st->key) continue;
+          if (!it->had_old) {
+            return Status::NotFound("row created by in-flight txn");
+          }
+          st->row = it->old_value;
+          return Status::OK();
+        }
+      }
+      return tree.Get(st->key, &st->row);
+    case Statement::Kind::kGet:
+      return tree.Get(st->key, &st->row);
+    case Statement::Kind::kScan:
+      st->rows.clear();
+      return tree.Scan(st->key, st->limit, &st->rows);
+  }
+  return Status::InvalidArgument("unknown statement");
+}
+
+void Database::ReplyStatement(Statement* st, const Status& s) {
+  if (st->write_done) {
+    st->write_done(s);
+  } else if (st->read_done) {
+    st->read_done(FinishRowRead(s, st->row));
+  } else if (!s.ok()) {
+    st->scan_done(s);
+  } else {
+    // Strip version stamps.
+    for (auto& [k, raw] : st->rows) {
+      Result<std::string> value = FinishRowRead(s, raw);
+      if (value.ok()) raw = std::move(*value);
+    }
+    st->scan_done(std::move(st->rows));
+  }
 }
 
 void Database::Commit(TxnId txn, std::function<void(Status)> done) {
@@ -1371,7 +1234,7 @@ void Database::Commit(TxnId txn, std::function<void(Status)> done) {
     t->commit_lsn = mtr.commit_lsn();
     return Status::OK();
   };
-  RunWithRetries(attempt, [this, txn, done](Status s) {
+  restarts_.Run(attempt, [this, txn, done](Status s) {
     Txn* t = FindTxn(txn);
     if (!s.ok() || t == nullptr) {
       done(s.ok() ? Status::Aborted("transaction gone") : s);
@@ -1425,7 +1288,7 @@ void Database::UndoOneEntry(Txn* t, size_t remaining,
       }
       return CommitMtr(&mtr);
     };
-    RunWithRetries(attempt, [this, id, done](Status s) {
+    restarts_.Run(attempt, [this, id, done](Status s) {
       locks_.ReleaseAll(id);
       ++stats_.txns_aborted;
       purge_queue_.push_back(id);
@@ -1454,7 +1317,7 @@ void Database::UndoOneEntry(Txn* t, size_t remaining,
     }
     return CommitMtr(&mtr);
   };
-  RunWithRetries(attempt, [this, id, remaining, done](Status s) {
+  restarts_.Run(attempt, [this, id, remaining, done](Status s) {
     Txn* t = FindTxn(id);
     if (t == nullptr) {
       done(Status::Aborted("transaction gone during rollback"));
@@ -1528,7 +1391,7 @@ void Database::PurgeOne(uint64_t gen, std::function<void()> next) {
     return CommitMtr(&mtr);
   };
   purge_done_ = false;
-  RunWithRetries(attempt, [this, gen, id, next = std::move(next)](Status s) {
+  restarts_.Run(attempt, [this, gen, id, next = std::move(next)](Status s) {
     if (gen != generation_) return;
     if (s.ok() && purge_done_ && !purge_queue_.empty() &&
         purge_queue_.front() == id) {
@@ -1893,7 +1756,7 @@ void Database::RecoveryFinish(std::shared_ptr<RecoveryState> rs) {
   // Replica SCL knowledge restarts empty; reads will discover it. Open for
   // business, then fetch the system catalog and run undo in background.
   auto attempt = [this]() -> Status { return EnsureSystemTrees(); };
-  RunWithRetries(attempt, [this, rs](Status s) {
+  restarts_.Run(attempt, [this, rs](Status s) {
     recovery_.reset();
     if (!s.ok()) {
       rs->done(s);
@@ -1954,7 +1817,7 @@ void Database::StartBackgroundUndo() {
     }
     return Status::OK();
   };
-  RunWithRetries(scan_attempt, [this, actives](Status s) {
+  restarts_.Run(scan_attempt, [this, actives](Status s) {
     if (!s.ok()) {
       AURORA_WARN("background undo scan failed: %s", s.ToString().c_str());
       if (undo_complete_cb_) undo_complete_cb_();
@@ -1997,7 +1860,7 @@ void Database::UndoNextRecoveredTxn(
     raw->next_undo_seq = seq;
     return Status::OK();
   };
-  RunWithRetries(load_attempt, [this, actives, idx, id](Status s) {
+  restarts_.Run(load_attempt, [this, actives, idx, id](Status s) {
     Txn* t = FindTxn(id);
     if (!s.ok() || t == nullptr) {
       UndoNextRecoveredTxn(actives, idx + 1);

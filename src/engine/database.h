@@ -15,6 +15,7 @@
 #include "engine/buffer_pool.h"
 #include "engine/lock_manager.h"
 #include "engine/options.h"
+#include "engine/restart_loop.h"
 #include "log/mtr.h"
 #include "page/btree.h"
 #include "page/page_provider.h"
@@ -230,7 +231,6 @@ class Database : public WalSink, public PageProvider {
   Result<Page*> AllocatePage(PageType type, uint8_t level,
                              MiniTransaction* mtr) override;
   Status FreePage(Page* page, MiniTransaction* mtr) override;
-  PageId last_miss() const override { return last_miss_; }
   size_t page_size() const override { return options_.page_size; }
 
  private:
@@ -280,10 +280,6 @@ class Database : public WalSink, public PageProvider {
     explicit OutstandingBatch(QuorumConfig q) : tracker(q) {}
   };
 
-  struct PageWaiter {
-    std::function<void()> retry;
-  };
-
   struct PendingRead {
     PageId page;
     PgId pg;
@@ -293,14 +289,46 @@ class Database : public WalSink, public PageProvider {
     SimTime started_at = 0;
   };
 
-  // --- Op plumbing ---------------------------------------------------------
-  /// Runs `attempt` now and re-runs it after each page fetch it triggers.
-  /// `attempt` returns Busy (after a GetPage miss) to be retried, anything
-  /// else to finish.
-  void RunWithRetries(std::function<Status()> attempt,
-                      std::function<void(Status)> done);
-  /// Charges CPU, then runs.
-  void ChargeCpu(SimDuration cost, std::function<void()> then);
+  using ScanRows = std::vector<std::pair<std::string, std::string>>;
+
+  /// One client statement (Put, Delete, Get, SnapshotGet or Scan) on its way
+  /// through RunStatement. Exactly one of the three `done`s is set.
+  struct Statement {
+    enum class Kind : uint8_t { kPut, kDelete, kGet, kSnapshotGet, kScan };
+    Statement(Kind k, TxnId t, PageId tbl, const std::string& row_key)
+        : kind(k), txn(t), table(tbl), key(row_key) {}
+    bool writes() const { return kind == Kind::kPut || kind == Kind::kDelete; }
+    /// SnapshotGet and Scan read committed state: they check no transaction
+    /// and take no row lock.
+    bool reads_committed() const {
+      return kind == Kind::kSnapshotGet || kind == Kind::kScan;
+    }
+
+    Kind kind;
+    TxnId txn;
+    PageId table;
+    std::string key;    // the row; Scan's start key
+    std::string value;  // Put's new value
+    int limit = 0;      // Scan's row limit
+    SimTime started = 0;
+    std::string row;    // a point read's stored row
+    ScanRows rows;      // Scan's stored rows
+    std::function<void(Status)> write_done;
+    std::function<void(Result<std::string>)> read_done;
+    std::function<void(Result<ScanRows>)> scan_done;
+  };
+
+  // --- Statement pipeline --------------------------------------------------
+  /// The one door of every client statement: gate, transaction check, ZDP
+  /// and LAL holds, counter, CPU charge, row lock, restart loop, latency.
+  void RunStatement(std::shared_ptr<Statement> st);
+  /// The row lock, the restart loop and the latency histogram, once the
+  /// statement's CPU is charged.
+  void LockAndRunStatement(std::shared_ptr<Statement> st);
+  /// One from-scratch attempt of the statement, run by the restart loop.
+  Status StatementAttempt(Statement* st);
+  /// Hands `s` (and a read's decoded rows) to the statement's `done`.
+  void ReplyStatement(Statement* st, const Status& s);
   void DeferForBackpressure(std::function<void()> retry);
   void DrainBackpressure();
 
@@ -436,11 +464,10 @@ class Database : public WalSink, public PageProvider {
   std::map<PgId, CachedConfig> pg_config_;
 
   // Read pipeline.
-  std::map<PageId, std::vector<PageWaiter>> page_waiters_;
+  RestartLoop restarts_{&pool_};
   std::map<PageId, uint64_t> fetch_in_flight_;  // page -> req id
   std::map<uint64_t, PendingRead> pending_reads_;
   uint64_t next_req_ = 1;
-  PageId last_miss_ = kInvalidPage;
 
   // Replication.
   std::vector<sim::NodeId> replicas_;
@@ -468,7 +495,7 @@ class Database : public WalSink, public PageProvider {
   TxnId pause_watermark_ = 0;     // txns >= this are held during ZDP
   uint64_t generation_ = 0;
   Lsn last_broadcast_pgmrpl_ = kInvalidLsn;
-  // Scratch state threaded through RunWithRetries attempts (single-threaded
+  // Scratch state threaded through restart-loop attempts (single-threaded
   // event loop; one attempt runs at a time).
   Lsn durable_lsn_for_ddl_ = kInvalidLsn;
   uint32_t ddl_result_version_ = 0;

@@ -4,21 +4,10 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
+#include "engine/row_codec.h"
 #include "log/applicator.h"
 
 namespace aurora {
-
-namespace {
-
-Status DecodeRowValue(const std::string& row, std::string* value) {
-  Slice in(row);
-  uint32_t version;
-  if (!GetVarint32(&in, &version)) return Status::Corruption("bad row");
-  value->assign(in.data(), in.size());
-  return Status::OK();
-}
-
-}  // namespace
 
 ReadReplica::ReadReplica(sim::EventLoop* loop, sim::Network* network,
                          sim::NodeId node_id, sim::Instance* instance,
@@ -63,7 +52,7 @@ void ReadReplica::Crash() {
   pending_stream_.clear();
   pending_commits_.clear();
   stashed_records_.clear();
-  page_waiters_.clear();
+  restarts_.Clear();
   fetch_in_flight_.clear();
   // Cancel outstanding fetch-retry timers and the read-point reporting tick
   // so repeated crash/restart cycles don't leak dead events in the loop.
@@ -158,7 +147,7 @@ void ReadReplica::ApplyRecord(const LogRecord& rec) {
 Result<Page*> ReadReplica::GetPage(PageId id) {
   Page* page = pool_.Lookup(id);
   if (page != nullptr) return page;
-  last_miss_ = id;
+  restarts_.NoteMiss(id);
   StartPageFetch(id);
   return Status::Busy("page miss");
 }
@@ -240,10 +229,11 @@ void ReadReplica::HandleReadPageResp(const sim::Message& msg) {
   pending_reads_.erase(it);
   fetch_in_flight_.erase(id);
   Page* installed = pool_.Install(id, std::move(*page));
-  pool_.EvictExcess();
 
   // Replay records that streamed past while the fetch was in flight
   // (idempotent: anything already in the fetched image is skipped by LSN).
+  // This runs before the eviction in PageInstalled, so `installed` is
+  // still resident.
   auto sit = stashed_records_.find(id);
   if (sit != stashed_records_.end()) {
     for (const LogRecord& r : sit->second) {
@@ -255,28 +245,7 @@ void ReadReplica::HandleReadPageResp(const sim::Message& msg) {
     }
     stashed_records_.erase(sit);
   }
-
-  auto wit = page_waiters_.find(id);
-  if (wit == page_waiters_.end()) return;
-  auto waiters = std::move(wit->second);
-  page_waiters_.erase(wit);
-  for (auto& w : waiters) w();
-}
-
-void ReadReplica::RunWithRetries(std::function<Status()> attempt,
-                                 std::function<void(Status)> done) {
-  last_miss_ = kInvalidPage;
-  Status s = attempt();
-  if (s.IsBusy() && last_miss_ != kInvalidPage) {
-    PageId missed = last_miss_;
-    page_waiters_[missed].push_back(
-        [this, attempt = std::move(attempt), done = std::move(done)]() {
-          RunWithRetries(attempt, done);
-        });
-    return;
-  }
-  pool_.EvictExcess();
-  done(s);
+  restarts_.PageInstalled(id);
 }
 
 void ReadReplica::Get(PageId table, const std::string& key,
@@ -294,19 +263,9 @@ void ReadReplica::Get(PageId table, const std::string& key,
       BTree tree(this, table);
       return tree.Get(key, result.get());
     };
-    RunWithRetries(attempt, [this, done, result, started](Status s) {
+    restarts_.Run(attempt, [this, done, result, started](Status s) {
       stats_.read_latency_us.Record(loop_->now() - started);
-      if (!s.ok()) {
-        done(s);
-        return;
-      }
-      std::string value;
-      Status ds = DecodeRowValue(*result, &value);
-      if (ds.ok()) {
-        done(std::move(value));
-      } else {
-        done(ds);
-      }
+      done(FinishRowRead(s, *result));
     });
   });
 }
@@ -326,7 +285,7 @@ void ReadReplica::TableAnchor(const std::string& name,
     *anchor = DecodeFixed64(v.data());
     return Status::OK();
   };
-  RunWithRetries(attempt, [done, anchor](Status s) {
+  restarts_.Run(attempt, [done, anchor](Status s) {
     if (s.ok()) {
       done(*anchor);
     } else {

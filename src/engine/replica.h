@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "engine/buffer_pool.h"
 #include "engine/options.h"
+#include "engine/restart_loop.h"
 #include "page/btree.h"
 #include "page/page_provider.h"
 #include "sim/event_loop.h"
@@ -84,7 +85,6 @@ class ReadReplica : public PageProvider {
   Status FreePage(Page*, MiniTransaction*) override {
     return Status::NotSupported("replicas are read-only");
   }
-  PageId last_miss() const override { return last_miss_; }
   size_t page_size() const override { return options_.page_size; }
 
  private:
@@ -95,8 +95,6 @@ class ReadReplica : public PageProvider {
   void StartPageFetch(PageId id);
   void IssuePageRead(uint64_t req_id);
   void HandleReadPageResp(const sim::Message& msg);
-  void RunWithRetries(std::function<Status()> attempt,
-                      std::function<void(Status)> done);
   void ReportReadPointTick();
 
   struct PendingRead {
@@ -128,11 +126,10 @@ class ReadReplica : public PageProvider {
   /// Records addressed to pages whose fetch is in flight (replayed after
   /// install; application is idempotent).
   std::map<PageId, std::vector<LogRecord>> stashed_records_;
-  std::map<PageId, std::vector<std::function<void()>>> page_waiters_;
+  RestartLoop restarts_{&pool_};
   std::map<PageId, uint64_t> fetch_in_flight_;
   std::map<uint64_t, PendingRead> pending_reads_;
   uint64_t next_req_ = 1;
-  PageId last_miss_ = kInvalidPage;
 
   bool crashed_ = false;
   uint64_t generation_ = 0;

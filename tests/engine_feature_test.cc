@@ -148,6 +148,90 @@ TEST_F(EngineFeatureTest, ZdpRejectsConcurrentPatch) {
   cluster_.RunUntil([&] { return first; }, Seconds(30));
 }
 
+TEST_F(EngineFeatureTest, ZdpHoldsDeletesOfTransactionsBegunAfterThePatch) {
+  ASSERT_TRUE(cluster_.PutSync(table_, "row", "v").ok());
+  bool patched = false;
+  cluster_.writer()->ZeroDowntimePatch(Millis(100), [&](Status s) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    patched = true;
+  });
+  ASSERT_TRUE(cluster_.writer()->patching());
+  // Begun after the patch started: its statements wait at the engine door
+  // until the swapped engine is back.
+  TxnId txn = cluster_.writer()->Begin();
+  bool deleted = false;
+  bool patched_before_delete = false;
+  cluster_.writer()->Delete(txn, table_, "row", [&](Status s) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    patched_before_delete = patched;
+    deleted = true;
+  });
+  ASSERT_TRUE(cluster_.RunUntil([&] { return deleted; }, Seconds(30)));
+  EXPECT_TRUE(patched_before_delete);
+  bool committed = false;
+  cluster_.writer()->Commit(txn, [&](Status s) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    committed = true;
+  });
+  ASSERT_TRUE(cluster_.RunUntil([&] { return committed; }, Seconds(30)));
+  EXPECT_TRUE(cluster_.GetSync(table_, "row").status().IsNotFound());
+}
+
+// --- Statement latency histograms -------------------------------------------
+
+TEST_F(EngineFeatureTest, DeleteRecordsWriteLatency) {
+  ASSERT_TRUE(cluster_.PutSync(table_, "row", "v").ok());
+  auto writes = [&] {
+    return cluster_.metrics()
+        ->Snapshot()
+        .histograms.at("engine.writer.write_latency_us")
+        .count;
+  };
+  const uint64_t before = writes();
+  ASSERT_TRUE(cluster_.DeleteSync(table_, "row").ok());
+  EXPECT_EQ(writes(), before + 1);
+}
+
+TEST_F(EngineFeatureTest, ScanAndSnapshotPreImageRecordReadLatency) {
+  ASSERT_TRUE(cluster_.PutSync(table_, "row", "old").ok());
+  const Histogram& reads = cluster_.writer()->stats().read_latency_us;
+  const uint64_t before = reads.count();
+
+  bool scanned = false;
+  cluster_.writer()->Scan(
+      0, table_, "row", 1,
+      [&](Result<std::vector<std::pair<std::string, std::string>>> r) {
+        ASSERT_TRUE(r.ok());
+        ASSERT_EQ(r->size(), 1u);
+        EXPECT_EQ((*r)[0].second, "old");
+        scanned = true;
+      });
+  ASSERT_TRUE(cluster_.RunUntil([&] { return scanned; }, Seconds(10)));
+  EXPECT_EQ(reads.count(), before + 1);
+
+  // An in-flight update: SnapshotGet answers from its undo pre-image.
+  TxnId txn = cluster_.writer()->Begin();
+  bool put_done = false;
+  cluster_.writer()->Put(txn, table_, "row", "new", [&](Status s) {
+    EXPECT_TRUE(s.ok());
+    put_done = true;
+  });
+  ASSERT_TRUE(cluster_.RunUntil([&] { return put_done; }, Seconds(10)));
+  Result<std::string> snap = Status::NotFound("");
+  bool read = false;
+  cluster_.writer()->SnapshotGet(0, table_, "row", [&](Result<std::string> r) {
+    snap = std::move(r);
+    read = true;
+  });
+  ASSERT_TRUE(cluster_.RunUntil([&] { return read; }, Seconds(10)));
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(*snap, "old");
+  EXPECT_EQ(reads.count(), before + 2);
+  bool committed = false;
+  cluster_.writer()->Commit(txn, [&](Status) { committed = true; });
+  ASSERT_TRUE(cluster_.RunUntil([&] { return committed; }, Seconds(10)));
+}
+
 // --- Scan ---------------------------------------------------------------------
 
 TEST_F(EngineFeatureTest, ScanReturnsSortedDecodedRows) {

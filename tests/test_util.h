@@ -60,7 +60,6 @@ class MemoryPageProvider : public PageProvider {
     return Status::OK();
   }
 
-  PageId last_miss() const override { return kInvalidPage; }
   size_t page_size() const override { return page_size_; }
 
   size_t num_pages() const { return pages_.size(); }
